@@ -223,19 +223,16 @@ class Checker {
 
 /// Latency and answer record of one closed-loop pass through a service.
 struct ServicePass {
-  std::vector<double> plan_ms, schedule_ms, mutate_ms, read_us;
+  std::vector<double> plan_ms, schedule_ms, read_us;
   std::vector<double> read_batch_s;  ///< wall time of each cached-read batch
   std::size_t reads = 0;
   std::size_t plan_reads = 0;      ///< throughput() calls among the reads
   std::size_t schedule_reads = 0;  ///< schedule() calls among the reads
-  std::vector<double> tp, schedule_tp;  ///< answers, per request
   bt::PlannerServiceStats stats;
 
   void fail_request() {
     plan_ms.push_back(kInf);
     schedule_ms.push_back(kInf);
-    tp.push_back(std::numeric_limits<double>::quiet_NaN());
-    schedule_tp.push_back(std::numeric_limits<double>::quiet_NaN());
   }
 
   /// Cached reads per second of one client: a batch over its median wall
@@ -542,7 +539,7 @@ void write_trace(const RunConfig& config, const std::vector<const Tracer*>& trac
 struct ServiceStep {
   std::shared_ptr<const SsbSolution> plan;
   std::shared_ptr<const PeriodicSchedule> schedule;
-  double mutate_ms = 0.0, plan_ms = 0.0, schedule_ms = 0.0;
+  double plan_ms = 0.0, schedule_ms = 0.0;
 };
 
 /// replan_sync's request: mutation -> plan -> schedule of its source.
@@ -550,12 +547,10 @@ ServiceStep sync_step(bt::PlannerService& service, const ServiceRequest& request
   ServiceStep step;
   const std::int64_t start = now_ns();
   mutate(service, request);
-  const std::int64_t mutated = now_ns();
   step.plan = service.plan(request.source);
   const std::int64_t planned = now_ns();
   step.schedule = service.schedule(request.source);
   const std::int64_t scheduled = now_ns();
-  step.mutate_ms = ns_to_ms(mutated - start);
   step.plan_ms = ns_to_ms(planned - start);
   step.schedule_ms = ns_to_ms(scheduled - start);
   return step;
@@ -584,11 +579,8 @@ ServiceStep cold_step(const Platform& platform, std::unique_ptr<bt::PlannerServi
 }
 
 void record(ServicePass& pass, const ServiceStep& step) {
-  pass.mutate_ms.push_back(step.mutate_ms);
   pass.plan_ms.push_back(step.plan_ms);
   pass.schedule_ms.push_back(step.schedule_ms);
-  pass.tp.push_back(step.plan->throughput);
-  pass.schedule_tp.push_back(step.schedule->throughput());
 }
 
 /// Run the cached-read batch after `step` and book disagreements.
@@ -612,7 +604,6 @@ void verified(bool ok, ServicePass& pass, Report& report) {
 
 ServiceLayer service_layer(const ServicePass& pass) {
   ServiceLayer layer;
-  layer.mutate_ms = pass.mutate_ms;
   layer.stats = pass.stats;
   layer.plan_reads = pass.plan_reads;
   layer.schedule_reads = pass.schedule_reads;
@@ -937,7 +928,6 @@ Report run_cold_tiers(const RunConfig& config, Report report) {
                     step.schedule->throughput());
   }
   write_trace(config, {&tracer});
-  pass.mutate_ms.clear();  // no mutations on this workload
   add_per_layer(report, layers, service_layer(pass), checker, generate_ms, tracer.coverage_min(),
                 traced_overhead(traced_ms, pass.schedule_ms));
   return report;
@@ -967,7 +957,7 @@ void pin_to_cpus(std::initializer_list<int> cpus) {
 /// What one open-loop async pass measured.
 struct AsyncPass {
   std::vector<double> plan_ms, schedule_ms;  ///< mutation due -> visible, per (mutation, source)
-  std::vector<double> mutate_ms, late_ms;    ///< per mutation
+  std::vector<double> late_ms;               ///< generator lateness, per mutation
   std::vector<double> read_us;               ///< one read in kReadSampleEvery
   std::vector<double> replan_ms;             ///< service-side, take_replan_latencies
   std::size_t reads = 0;
@@ -1018,7 +1008,6 @@ AsyncPass run_async_window(bt::PlannerService& service, const std::vector<Platfo
         failures[0].push_back("mutation " + std::to_string(k) + " threw: " + e.what());
       }
       if (t) t->end(span);
-      pass.mutate_ms.push_back(ns_to_ms(now_ns() - start));
       pass.late_ms.push_back(ns_to_ms(start - due(k)));
     }
   });

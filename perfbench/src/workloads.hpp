@@ -6,10 +6,11 @@
 //  * replan_sync   -- closed-loop mutation -> plan -> schedule on a sync
 //                     service over the n=120 reference platform, plus
 //                     cached reads;
-//  * cold_tiers    -- a fresh service per freshly generated Tiers platform,
-//                     first plan and schedule of source 0;
+//  * cold_tiers    -- a fresh service per platform of a fixed Tiers corpus
+//                     (4 clients), first plan and schedule of source 0;
 //  * async_readers -- async re-planning service: 2 closed-loop readers, an
-//                     open-loop mutator and a schedule subscriber.
+//                     open-loop mutator and a schedule subscriber (runnable,
+//                     not in BENCHMARK.json: its figures were not steady).
 //
 // An untraced run reports the end-to-end metrics.  A traced run replays a
 // fixed number of the same seeded requests twice -- through the service,
