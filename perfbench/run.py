@@ -7,9 +7,9 @@ Usage (from the root of the repository):
     python3 perfbench/run.py --self-test
 
 The benchmark is a CMake package of its own (perfbench/CMakeLists.txt) that
-compiles the library sources under src/ together with the driver.  It is
-configured and built in Release mode under $CARGO_TARGET_DIR (default
-.bench_build) on first use.  The driver's standard output is passed through:
+compiles the library sources under src/ together with the benchmark program.
+It is configured and built in Release mode under $CARGO_TARGET_DIR (default
+.bench_build) on first use.  The program's standard output is passed through:
 its last line is the JSON result.  Span traces (--trace 1) and a full JSON
 report of every run are written next to the build, under traces/ and
 reports/.

@@ -1,4 +1,4 @@
-// Planner benchmark driver.
+// Planner benchmark program.
 //
 //   perfbench --workload <replan_sync|cold_tiers|async_readers> --seed <n>
 //             --seconds <s> --trace <0|1> [--trace-out <spans.jsonl>]
