@@ -84,10 +84,26 @@ double median_of_few(std::vector<double> v) {
 /// degrades down the service's ladder (see cold_step).
 constexpr double kColdWallBudgetMs = 15000.0;
 
-bt::PlannerServiceOptions service_options(std::size_t sessions, bool async) {
+/// Workers of the pool each workload runs the library's parallel phases on
+/// (BT_THREADS does not apply).  A phase is split into one chunk per worker
+/// and its caller helps run it, so a one-worker pool runs each phase as one
+/// task and a client keeps one CPU busy.  With one CPU's worth of other load
+/// beside replan_sync, plan_p50_ms rose by 65% on a three-worker pool and
+/// not at all on one worker, while schedule_p50_ms was the same on both
+/// without that load: wider pools measured the host's scheduler.
+constexpr std::size_t kPoolWorkers = 1;
+
+void describe_pool(Report& report, const bt::ThreadPool& pool) {
+  report.environment.push_back({"pool_threads", std::to_string(pool.num_threads())});
+}
+
+bt::PlannerServiceOptions service_options(std::size_t sessions, bool async,
+                                          bt::ThreadPool& pool) {
   bt::PlannerServiceOptions options;
   options.max_sessions = sessions;
   options.async_replan = async;
+  options.session.cutting.pool = &pool;
+  options.session.colgen.pool = &pool;
   return options;
 }
 
@@ -99,8 +115,8 @@ bt::LadderOptions cold_ladder() {
 
 /// The service's per-source session configuration, plus master kernel
 /// timing (the traced run's FTRAN/BTRAN ns per call).
-bt::PlannerSessionOptions traced_session_options() {
-  bt::PlannerSessionOptions options = bt::PlannerServiceOptions().session;
+bt::PlannerSessionOptions traced_session_options(bt::ThreadPool& pool) {
+  bt::PlannerSessionOptions options = service_options(1, false, pool).session;
   options.cutting.master_kernel_timing = true;
   return options;
 }
@@ -266,12 +282,7 @@ std::size_t cached_reads(bt::PlannerService& service, NodeId source, const SsbSo
 }
 
 void add_environment(Report& report) {
-  const char* threads = std::getenv("BT_THREADS");
   report.environment.push_back({"nproc", std::to_string(std::thread::hardware_concurrency())});
-  report.environment.push_back(
-      {"pool_threads", std::to_string(bt::ThreadPool::default_thread_count()) +
-                           (threads ? std::string(" (BT_THREADS=") + threads + ")"
-                                    : std::string(" (default)"))});
   report.environment.push_back({"build_type", PERFBENCH_BUILD_TYPE});
 }
 
@@ -291,7 +302,7 @@ void add_end_to_end(Report& report, double setup_s, std::size_t setup_repeats,
   report.add("replay_ratio_min", "ratio", checker.replay_ratio_min, checker.replay_ms.size());
   report.add("peak_rss_mb", "MiB", peak_rss_mb());
   // The plan tail swings with host load (its separation phase fans out over
-  // every CPU): spreads of 0.22-0.28 across seeds, above any bound allowed.
+  // the pool): spreads of 0.22-0.28 across seeds, above any bound allowed.
   report.unbounded.push_back({"plan_p90_ms", "ms", percentile(plan_ms, 0.90), plan_ms.size()});
 }
 
@@ -417,7 +428,7 @@ struct ServiceLayer {
 /// bypasses report 0.
 void add_per_layer(Report& report, const LayerSamples& l, const ServiceLayer& s,
                    const Checker& checker, const std::vector<double>& generate_ms,
-                   double coverage_min, double overhead) {
+                   const bt::ThreadPool& pool, double coverage_min, double overhead) {
   auto p50 = [&](const std::string& name, const std::string& unit, const std::vector<double>& v) {
     if (v.empty()) {
       report.add(name, unit, 0.0);
@@ -468,7 +479,7 @@ void add_per_layer(Report& report, const LayerSamples& l, const ServiceLayer& s,
   report.add("service.solves_per_mutation", "ratio",
              ratio(static_cast<double>(s.stats.solves), static_cast<double>(s.stats.mutations)));
   p50("platform.generate_ms", "ms", generate_ms);
-  report.add("pool.threads", "count", static_cast<double>(bt::global_thread_pool().num_threads()));
+  report.add("pool.threads", "count", static_cast<double>(pool.num_threads()));
   p50("sched.check_ms_p50", "ms", checker.check_ms);
   p50("sim.replay_ms_p50", "ms", checker.replay_ms);
   report.add("trace.coverage_min", "ratio", coverage_min);
@@ -484,14 +495,15 @@ struct WarmService {
   double setup_s = 0.0;  ///< median over the repeats
 };
 
-WarmService warm_service(const std::vector<NodeId>& sources, bool async, std::size_t repeats) {
+WarmService warm_service(const std::vector<NodeId>& sources, bool async, std::size_t repeats,
+                         bt::ThreadPool& pool) {
   WarmService warm;
   std::vector<double> seconds;
   for (std::size_t r = 0; r < repeats; ++r) {
     warm.service.reset();
     const std::int64_t start = now_ns();
-    warm.service = std::make_unique<bt::PlannerService>(reference_platform(),
-                                                        service_options(sources.size(), async));
+    warm.service = std::make_unique<bt::PlannerService>(
+        reference_platform(), service_options(sources.size(), async, pool));
     for (NodeId s : sources) {
       warm.service->plan(s);
       warm.service->schedule(s);
@@ -563,9 +575,10 @@ ServiceStep sync_step(bt::PlannerService& service, const ServiceRequest& request
 /// pivot budget bounds, and the deadline turns such a stall into a
 /// heuristic-tier answer (counted against exact_fraction) instead of a run
 /// that never ends.
-ServiceStep cold_step(const Platform& platform, std::unique_ptr<bt::PlannerService>& service) {
+ServiceStep cold_step(const Platform& platform, std::unique_ptr<bt::PlannerService>& service,
+                      bt::ThreadPool& pool) {
   ServiceStep step;
-  bt::PlannerServiceOptions options = service_options(1, false);
+  bt::PlannerServiceOptions options = service_options(1, false, pool);
   options.ladder = cold_ladder();
   const std::int64_t start = now_ns();
   service = std::make_unique<bt::PlannerService>(platform, options);
@@ -611,7 +624,8 @@ ServiceLayer service_layer(const ServicePass& pass) {
 }
 
 ServiceLayer traced_async_layer(const RunConfig& config, const Platform& platform,
-                                Report& report, std::vector<Tracer>& tracers, Checker& checker);
+                                Report& report, std::vector<Tracer>& tracers, Checker& checker,
+                                bt::ThreadPool& pool);
 
 // ---- replan_sync ------------------------------------------------------------
 
@@ -658,13 +672,15 @@ ServicePass replay_sync(bt::PlannerService& service, Platform expected,
 }
 
 Report run_replan_sync(const RunConfig& config, Report report) {
+  bt::ThreadPool pool(kPoolWorkers);
+  describe_pool(report, pool);
   const Platform platform = reference_platform();
   const std::vector<ServiceRequest> stream =
       mutation_stream(platform, kReplanSources, kReplanStreamLength, config.seed);
   describe_inputs(report, platform, stream);
 
   if (!config.trace) {
-    WarmService warm = warm_service(kReplanSources, false, kSetupRepeats);
+    WarmService warm = warm_service(kReplanSources, false, kSetupRepeats, pool);
     Checker checker(report, config.seed, kReferenceOneIn, kReplanReplayOneIn);
     const ServicePass pass =
         replay_sync(*warm.service, platform, stream, config.seconds, checker, report);
@@ -679,7 +695,7 @@ Report run_replan_sync(const RunConfig& config, Report report) {
   // per source kept exactly as the service keeps its own (every session
   // receives every mutation, only the queried source is solved).  The
   // answers must agree.
-  WarmService warm = warm_service(kReplanSources, false, 1);
+  WarmService warm = warm_service(kReplanSources, false, 1, pool);
   ServicePass pass;
   Tracer tracer;
   Checker checker(report, config.seed, kReferenceOneIn, 1, &tracer);
@@ -689,7 +705,7 @@ Report run_replan_sync(const RunConfig& config, Report report) {
   std::vector<bt::PlannerSessionStats> before;
   for (std::size_t k = 0; k < kReplanSources.size(); ++k) {
     sessions.push_back(std::make_unique<bt::PlannerSession>(
-        platform.with_source(kReplanSources[k]), traced_session_options()));
+        platform.with_source(kReplanSources[k]), traced_session_options(pool)));
     const SsbSolution& warmed = sessions[k]->solve_laddered();
     last[k].lp_stats = warmed.lp_stats;
     last[k].cuts_generated = warmed.cuts_generated;
@@ -734,7 +750,7 @@ Report run_replan_sync(const RunConfig& config, Report report) {
   std::vector<Tracer> async_tracers(4);
   Checker async_checker(report, config.seed, kReferenceOneIn);
   const ServiceLayer async =
-      traced_async_layer(config, platform, report, async_tracers, async_checker);
+      traced_async_layer(config, platform, report, async_tracers, async_checker, pool);
   ServiceLayer layer = service_layer(pass);
   layer.mutate_ms = async.mutate_ms;
   layer.replan_ms = async.replan_ms;
@@ -743,8 +759,8 @@ Report run_replan_sync(const RunConfig& config, Report report) {
   layer.stats.replans_dropped = async.stats.replans_dropped;
   write_trace(config, {&tracer, &async_tracers[0], &async_tracers[1], &async_tracers[2],
                        &async_tracers[3]});
-  add_per_layer(report, layers, layer, checker, reference_generate_ms(), tracer.coverage_min(),
-                traced_overhead(traced_ms, pass.schedule_ms));
+  add_per_layer(report, layers, layer, checker, reference_generate_ms(), pool,
+                tracer.coverage_min(), traced_overhead(traced_ms, pass.schedule_ms));
   return report;
 }
 
@@ -755,12 +771,15 @@ Report run_replan_sync(const RunConfig& config, Report report) {
 /// workload seed only orders them.
 constexpr std::size_t kCorpusSize = kMinRequests;
 constexpr std::uint64_t kCorpusSeed = 104729;
-/// Passes over the corpus generated per run (a run stops at the first pass
-/// boundary after --seconds).
-constexpr std::size_t kCorpusPasses = 8;
-/// Times the corpus generation is repeated in set-up: it takes ~11 ms, so
-/// its median needs many repeats (9 left a spread of 0.31 over seeds).
-constexpr std::size_t kCorpusSetupRepeats = 25;
+/// A pass over the corpus takes 25-60 s on a 4-vCPU machine, as the shared
+/// host speeds up and slows down.  A run makes one pass per this many
+/// seconds of --seconds (at least one), so its work -- and with it the
+/// sample count and peak RSS -- does not depend on host speed.
+constexpr double kPassSeconds = 45.0;
+/// Times the corpus generation is repeated in set-up: it takes ~8 ms, so
+/// its median needs many repeats (9 left a spread of 0.31 over seeds, 25
+/// still 0.45 over three seeds as host speed drifted between runs).
+constexpr std::size_t kCorpusSetupRepeats = 101;
 /// Closed-loop clients of cold_tiers, each on its own platforms.
 constexpr std::size_t kColdClients = 4;
 /// Platforms of a traced cold_tiers run.
@@ -774,20 +793,15 @@ struct ColdAnswer {
 };
 
 /// cold_tiers' closed loop: kColdClients clients take the corpus platforms
-/// in `order` until `seconds` have passed, stopping only at the end of a
-/// whole pass so every run covers the corpus equally.  Answers are
-/// verified after the window, in order.
+/// in `order` (whole passes, so every run covers the corpus equally).
+/// Answers are verified after the window, in order.
 ServicePass replay_cold(const std::vector<Platform>& corpus, const std::vector<std::size_t>& order,
-                        double seconds, Checker& checker, Report& report) {
+                        bt::ThreadPool& pool, Checker& checker, Report& report) {
   std::mutex take_mutex;
   std::size_t next = 0;
-  bool stopped = false, exhausted = false;
-  const std::int64_t end = now_ns() + static_cast<std::int64_t>(seconds * 1e9);
   auto take = [&](std::size_t& slot) {
     std::lock_guard<std::mutex> lock(take_mutex);
-    if (!stopped && next > 0 && next % corpus.size() == 0 && now_ns() >= end) stopped = true;
-    if (!stopped && next == order.size()) stopped = exhausted = true;
-    if (stopped) return false;
+    if (next == order.size()) return false;
     slot = next++;
     return true;
   };
@@ -804,7 +818,7 @@ ServicePass replay_cold(const std::vector<Platform>& corpus, const std::vector<s
       std::unique_ptr<bt::PlannerService> service;
       ServiceStep step;
       try {
-        step = cold_step(corpus[i], service);
+        step = cold_step(corpus[i], service, pool);
       } catch (const std::exception& e) {
         failures[c].push_back(what + " threw: " + e.what());
         passes[c].fail_request();
@@ -819,8 +833,6 @@ ServicePass replay_cold(const std::vector<Platform>& corpus, const std::vector<s
   std::vector<std::thread> clients;
   for (std::size_t c = 0; c < kColdClients; ++c) clients.emplace_back(client, c);
   for (std::thread& t : clients) t.join();
-  if (exhausted) report.fail("cold_tiers: all " + std::to_string(kCorpusPasses) +
-                             " passes done before the window ended");
 
   ServicePass pass;
   std::vector<ColdAnswer> all;
@@ -854,6 +866,8 @@ ServicePass replay_cold(const std::vector<Platform>& corpus, const std::vector<s
 }
 
 Report run_cold_tiers(const RunConfig& config, Report report) {
+  bt::ThreadPool pool(kPoolWorkers);
+  describe_pool(report, pool);
   // Set-up is the generation of the corpus; it is repeated and must come
   // out identical each time.
   std::vector<Platform> corpus;
@@ -868,7 +882,9 @@ Report run_cold_tiers(const RunConfig& config, Report report) {
     if (!digest.empty() && d != digest) report.fail("corpus differs between set-ups");
     digest = d;
   }
-  const std::vector<std::size_t> order = corpus_order(kCorpusSize, kCorpusPasses, config.seed);
+  const auto passes =
+      static_cast<std::size_t>(std::max(1.0, std::round(config.seconds / kPassSeconds)));
+  const std::vector<std::size_t> order = corpus_order(kCorpusSize, passes, config.seed);
   std::size_t lo = corpus.front().num_edges(), hi = lo;
   for (const Platform& p : corpus) {
     lo = std::min(lo, p.num_edges());
@@ -879,11 +895,12 @@ Report run_cold_tiers(const RunConfig& config, Report report) {
                                               ".." + std::to_string(hi)});
   report.environment.push_back({"corpus_digest", digest});
   report.environment.push_back({"order_digest", digest_order(order)});
+  report.environment.push_back({"passes", std::to_string(passes)});
 
   if (!config.trace) {
     Checker checker(report, config.seed, kColdReferenceOneIn);
     report.environment.push_back({"clients", std::to_string(kColdClients)});
-    const ServicePass pass = replay_cold(corpus, order, config.seconds, checker, report);
+    const ServicePass pass = replay_cold(corpus, order, pool, checker, report);
     add_end_to_end(report, median_of_few(seconds), kCorpusSetupRepeats, pass.plan_ms,
                    pass.schedule_ms, pass.read_us, pass.read_qps(), checker);
     report.environment.push_back({"reference_checks", std::to_string(checker.references)});
@@ -902,7 +919,7 @@ Report run_cold_tiers(const RunConfig& config, Report report) {
     const std::string what = "platform " + std::to_string(order[i]);
     report.attempted += 2;
     std::unique_ptr<bt::PlannerService> service;
-    const ServiceStep step = cold_step(platform, service);
+    const ServiceStep step = cold_step(platform, service, pool);
     record(pass, step);
     read_batch(*service, 0, step, pass, report, what);
     const bt::PlannerServiceStats stats = service->stats();
@@ -915,7 +932,7 @@ Report run_cold_tiers(const RunConfig& config, Report report) {
     const std::int64_t start = now_ns();
     const std::int32_t root = tracer.begin(kRequestSpan, i);
     const std::int32_t construct = tracer.begin("session.construct", i, root);
-    bt::PlannerSession session(platform, traced_session_options());
+    bt::PlannerSession session(platform, traced_session_options(pool));
     tracer.end(construct);
     SsbSolution fresh;
     auto [plan, schedule] = traced_solve(session, cold_ladder(), tracer, i, root, layers, fresh);
@@ -928,8 +945,8 @@ Report run_cold_tiers(const RunConfig& config, Report report) {
                     step.schedule->throughput());
   }
   write_trace(config, {&tracer});
-  add_per_layer(report, layers, service_layer(pass), checker, generate_ms, tracer.coverage_min(),
-                traced_overhead(traced_ms, pass.schedule_ms));
+  add_per_layer(report, layers, service_layer(pass), checker, generate_ms, pool,
+                tracer.coverage_min(), traced_overhead(traced_ms, pass.schedule_ms));
   return report;
 }
 
@@ -1164,8 +1181,10 @@ AsyncInputs async_inputs(const Platform& platform, double seconds, std::uint64_t
 }
 
 Report run_async_readers(const RunConfig& config, Report report) {
-  // Before any solve starts the library's pool (see kSolverCpus).
+  // Before the pool starts (see kSolverCpus).
   pin_to_cpus({kSolverCpus[0], kSolverCpus[1]});
+  bt::ThreadPool pool(kPoolWorkers);
+  describe_pool(report, pool);
   const Platform platform = reference_platform();
   report.environment.push_back({"threads", "2 readers + 1 mutator + 1 subscriber"});
   report.environment.push_back(
@@ -1180,7 +1199,7 @@ Report run_async_readers(const RunConfig& config, Report report) {
     report.environment.push_back({"window_s", std::to_string(window)});
     const AsyncInputs inputs = async_inputs(platform, window, config.seed);
     describe_inputs(report, platform, inputs.stream);
-    WarmService warm = warm_service(kAsyncSources, true, kSetupRepeats);
+    WarmService warm = warm_service(kAsyncSources, true, kSetupRepeats, pool);
     Checker checker(report, config.seed, kReferenceOneIn);
     const AsyncPass pass = run_async_window(*warm.service, inputs.versions, inputs.stream, window,
                                             checker, report, nullptr);
@@ -1194,19 +1213,21 @@ Report run_async_readers(const RunConfig& config, Report report) {
   // replan_sync).
   std::vector<Tracer> tracers(4);
   Checker checker(report, config.seed, kReferenceOneIn, 1, &tracers[3]);
-  const ServiceLayer layer = traced_async_layer(config, platform, report, tracers, checker);
+  const ServiceLayer layer =
+      traced_async_layer(config, platform, report, tracers, checker, pool);
   write_trace(config, {&tracers[0], &tracers[1], &tracers[2], &tracers[3]});
-  add_per_layer(report, LayerSamples{}, layer, checker, reference_generate_ms(), 0.0, 0.0);
+  add_per_layer(report, LayerSamples{}, layer, checker, reference_generate_ms(), pool, 0.0, 0.0);
   return report;
 }
 
 ServiceLayer traced_async_layer(const RunConfig& config, const Platform& platform,
-                                Report& report, std::vector<Tracer>& tracers, Checker& checker) {
+                                Report& report, std::vector<Tracer>& tracers, Checker& checker,
+                                bt::ThreadPool& pool) {
   // Enough mutations for the p50 of service.mutate_ms.
   const double window =
       static_cast<double>(min_samples_for(0.5)) * kMutationPeriodMs * 1e-3;
   const AsyncInputs inputs = async_inputs(platform, window, config.seed);
-  WarmService warm = warm_service(kAsyncSources, true, 1);
+  WarmService warm = warm_service(kAsyncSources, true, 1, pool);
   const AsyncPass pass = run_async_window(*warm.service, inputs.versions, inputs.stream, window,
                                           checker, report, &tracers);
   ServiceLayer layer;
