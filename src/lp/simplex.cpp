@@ -184,6 +184,37 @@ class SparseSimplexCore {
     return num_structural_++;
   }
 
+  bool is_basic(std::size_t var) const {
+    BT_REQUIRE(var < num_structural_, "IncrementalSimplex::is_basic: variable out of range");
+    return std::find(basis_.begin(), basis_.end(), col_of_structural_[var]) != basis_.end();
+  }
+
+  /// Overwrite a non-basic structural column's objective and existing
+  /// coefficients in place.  The variable sits at zero, so the basis, its
+  /// factorization and the primal point stay valid; only its reduced cost
+  /// moves, which the next solve prices like an appended column's.
+  void update_nonbasic_column(std::size_t var, double objective_coeff,
+                              const std::vector<LpTerm>& terms) {
+    BT_REQUIRE(!is_basic(var), "IncrementalSimplex::update_nonbasic_column: variable is basic");
+    const std::size_t j = col_of_structural_[var];
+    std::uint32_t* rows = cols_.rows.data() + cols_.start[j];
+    double* vals = cols_.vals.data() + cols_.start[j];
+    for (const LpTerm& t : terms) {
+      std::uint32_t* entry = std::find(rows, rows + cols_.nnz(j), t.var);
+      BT_REQUIRE(entry != rows + cols_.nnz(j) && t.coeff != 0.0,
+                 "IncrementalSimplex::update_nonbasic_column: coefficient outside the "
+                 "column's nonzero pattern");
+      const double v = row_flip_[t.var] * t.coeff;
+      vals[entry - rows] = v;
+      for (LpTerm& mirror : row_entries_[t.var]) {
+        if (mirror.var == j) mirror.coeff = v;
+      }
+    }
+    orig_obj_[var] = objective_coeff;
+    cost_[j] = (maximize_ ? -1.0 : 1.0) * objective_coeff;
+    if (j < devex_w_.size()) devex_w_[j] = 1.0;  // re-enters the framework like an appended column
+  }
+
   /// Buffer a <= or >= row over the structural variables; rows are merged
   /// into the model lazily at the next solve / reoptimize / add_column.
   /// Returns the new row's external index.
@@ -1983,6 +2014,13 @@ std::size_t IncrementalSimplex::append_row(const std::vector<LpTerm>& terms, Row
 
 void IncrementalSimplex::set_row_rhs(std::size_t row, double rhs) {
   core_->set_row_rhs(row, rhs);
+}
+
+bool IncrementalSimplex::is_basic(std::size_t var) const { return core_->is_basic(var); }
+
+void IncrementalSimplex::update_nonbasic_column(std::size_t var, double objective_coeff,
+                                                const std::vector<LpTerm>& terms) {
+  core_->update_nonbasic_column(var, objective_coeff, terms);
 }
 
 std::size_t IncrementalSimplex::num_variables() const { return core_->num_structural(); }

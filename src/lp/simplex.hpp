@@ -174,6 +174,20 @@ class IncrementalSimplex {
   /// textbook use of the dual simplex for rhs ranging.
   void set_row_rhs(std::size_t row, double rhs);
 
+  /// Whether structural variable `var` is in the current basis.
+  bool is_basic(std::size_t var) const;
+
+  /// Overwrite the objective coefficient and existing constraint
+  /// coefficients ({row index, coefficient}) of a *non-basic* structural
+  /// variable in place; every row must already hold a nonzero of the
+  /// column.  The variable sits at zero, so the basis, its factorization and
+  /// the primal point stay valid -- only its reduced cost moves, and the
+  /// next solve prices it like an appended column.  This is a link-cost
+  /// delta that leaves no dead column or row behind.  Throws if the
+  /// variable is basic or a row falls outside the column's pattern.
+  void update_nonbasic_column(std::size_t var, double objective_coeff,
+                              const std::vector<LpTerm>& terms);
+
   /// Number of structural variables currently in the model.
   std::size_t num_variables() const;
   /// Number of constraint rows currently in the model (appended included).

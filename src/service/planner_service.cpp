@@ -102,14 +102,14 @@ std::shared_ptr<const PeriodicSchedule> PlannerService::schedule_locked(
   PlannerSession& session = session_locked(source);
   std::shared_ptr<const PeriodicSchedule> schedule;
   try {
-    schedule = std::make_shared<const PeriodicSchedule>(session.schedule());
+    schedule = session.schedule();
   } catch (const Error&) {
     // The synthesis path failed (e.g. an injected pricing-oracle fault in
     // the packing solve).  Route through the ladder: solve_laddered leaves
     // a fresh cutting-plane -- or heuristic single-tree -- solution for
     // schedule() to synthesize from instead.
     session.solve_laddered(ladder);
-    schedule = std::make_shared<const PeriodicSchedule>(session.schedule());
+    schedule = session.schedule();
   }
   ++schedules_built_;
   schedule_cache_.put({source, port_model, version_}, schedule);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -11,6 +12,7 @@
 #include "graph/min_arborescence.hpp"
 #include "lp/simplex.hpp"
 #include "sched/orchestrate.hpp"
+#include "sched/tree_decomposition.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
 #include "util/thread_pool.hpp"
@@ -33,6 +35,16 @@ constexpr double kWeightTieBreak = 0.25;
 /// improving column" verdict stays an optimality certificate for the
 /// surviving platform.
 constexpr double kRemovedArcPrice = 1e30;
+
+/// Bitwise equality: the memo keys.  A max-flow or a decomposition is a
+/// function of the exact bits of its inputs, so only equal bits may reuse
+/// an answer.
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
 
 // ---- packing column helpers ------------------------------------------------
 
@@ -92,6 +104,28 @@ PlannerSession::PlannerSession(Platform platform, PlannerSessionOptions options)
 bool PlannerSession::link_removed(EdgeId e) const {
   BT_REQUIRE(e < removed_.size(), "PlannerSession::link_removed: arc out of range");
   return removed_[e] != 0;
+}
+
+StandingMasterRows PlannerSession::standing_master_rows() const {
+  // A value master built from the pools holds one row per non-empty port
+  // (see build_cutting_master), one per pooled cut and one pin per removed
+  // arc.
+  const Digraph& g = platform_.graph();
+  std::size_t rows = cut_pool_.size();
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const bool sends = !g.out_edges(u).empty(), receives = !g.in_edges(u).empty();
+    if (options_.cutting.port_model == PortModel::kBidirectional) {
+      rows += (sends ? 1 : 0) + (receives ? 1 : 0);
+    } else if (sends || receives) {
+      ++rows;
+    }
+  }
+  rows += static_cast<std::size_t>(std::count(removed_.begin(), removed_.end(), 1));
+  StandingMasterRows counts;
+  counts.value = value_master_ != nullptr ? value_master_->num_rows() : 0;
+  counts.stable = stable_master_ != nullptr ? stable_master_->num_rows() : 0;
+  counts.pool_built = rows;
+  return counts;
 }
 
 // ---- cutting-plane internals ------------------------------------------------
@@ -169,7 +203,7 @@ LpProblem PlannerSession::build_cutting_master(bool stable, double tp_floor, boo
       var_of_arc_[e] = e;
       var_alive_[e] = removed_[e] ? 0 : 1;
     }
-    mapping_identity_ = true;
+    killed_columns_ = 0;
     out_row_.assign(g.num_nodes(), kNoRow);
     in_row_.assign(g.num_nodes(), kNoRow);
     master_cuts_.clear();
@@ -256,13 +290,16 @@ void PlannerSession::reset_cutting_state() {
     var_of_arc_[e] = e;
     var_alive_[e] = removed_[e] ? 0 : 1;
   }
-  mapping_identity_ = true;
+  killed_columns_ = 0;
   tp_var_ = m;
   out_row_.assign(g.num_nodes(), kNoRow);
   in_row_.assign(g.num_nodes(), kNoRow);
   master_cuts_.clear();
   cutting_dirty_ = true;
   cutting_solution_ = SsbSolution{};
+  // Both memos are keyed on the graph, which is about to change (add_node).
+  separation_memo_ = SeparationMemo{};
+  decomposition_memo_ = DecompositionMemo{};
 
   // Seed cuts: the singleton source cut and the singleton destination cuts.
   std::vector<EdgeId> source_cut(g.out_edges(platform_.source()));
@@ -318,6 +355,15 @@ void PlannerSession::run_cutting_solve() {
   // solution, is bitwise-identical to the serial oracle.  Solvers persist
   // across rounds so the same-capacity restore fast path still applies
   // within each round's chunk.
+  //
+  // The values land in the session's separation memo.  A round whose
+  // loads are bitwise equal to the memo's reuses them without a max-flow.
+  // Every destination below the memo's threshold already has its cut in
+  // the (append-only) pool, where a recomputed cut would be a duplicate;
+  // only a destination between that threshold and this round's -- a
+  // tighter polish tolerance -- needs its cut, one max-flow away.  So reuse
+  // changes no bit of the cut trajectory either, and the memo copies no
+  // cut.
   ThreadPool& pool = options.pool != nullptr ? *options.pool : global_thread_pool();
   std::vector<NodeId> dests;
   dests.reserve(p - 1);
@@ -327,12 +373,8 @@ void PlannerSession::run_cutting_solve() {
   const ChunkSplit split(dests.size(), pool.num_threads());
   std::vector<std::unique_ptr<MaxFlowSolver>> chunk_solver(split.chunks);
   std::vector<MaxFlowResult> chunk_scratch(split.chunks);
-  struct DestResult {
-    double value = 0.0;
-    bool violated = false;
-    std::vector<EdgeId> cut;
-  };
-  std::vector<DestResult> sep_results(dests.size());
+  std::vector<std::vector<EdgeId>> violated_cut(dests.size());
+  SeparationMemo& memo = separation_memo_;
 
   std::vector<const std::vector<EdgeId>*> new_cuts;
   auto separate = [&](const std::vector<double>& load, double tp, double tol,
@@ -343,34 +385,47 @@ void PlannerSession::run_cutting_solve() {
       throw Error("fault injection: separation oracle failure");
     }
     Timer separation_timer;
-    parallel_for(pool, split.chunks, [&](std::size_t c) {
-      if (chunk_solver[c] == nullptr) chunk_solver[c] = std::make_unique<MaxFlowSolver>(g);
-      MaxFlowSolver& solver = *chunk_solver[c];
-      MaxFlowResult& flow = chunk_scratch[c];
-      for (std::size_t i = split.chunk_begin(c); i < split.chunk_begin(c + 1); ++i) {
-        solver.solve(source, dests[i], load, flow);
-        DestResult& slot = sep_results[i];
-        slot.value = flow.value;
-        slot.violated = flow.value < tp - tol;
-        if (slot.violated) {
-          slot.cut = flow.min_cut_edges;
-        } else {
-          slot.cut.clear();
+    const double threshold = tp - tol;
+    const bool reuse = memo.valid && same_bits(load, memo.load);
+    if (reuse) {
+      ++stats_.separations_reused;
+    } else {
+      memo.valid = false;
+      memo.value.resize(dests.size());
+      parallel_for(pool, split.chunks, [&](std::size_t c) {
+        if (chunk_solver[c] == nullptr) chunk_solver[c] = std::make_unique<MaxFlowSolver>(g);
+        MaxFlowSolver& solver = *chunk_solver[c];
+        MaxFlowResult& flow = chunk_scratch[c];
+        for (std::size_t i = split.chunk_begin(c); i < split.chunk_begin(c + 1); ++i) {
+          solver.solve(source, dests[i], load, flow);
+          memo.value[i] = flow.value;
+          if (flow.value < threshold) violated_cut[i] = flow.min_cut_edges;
         }
-      }
-    });
+      });
+      memo.load = load;
+      memo.threshold = -std::numeric_limits<double>::infinity();  // nothing pooled yet
+      memo.valid = true;
+    }
     min_flow = std::numeric_limits<double>::infinity();
     new_cuts.clear();
     bool added = false;
-    for (DestResult& slot : sep_results) {
-      min_flow = std::min(min_flow, slot.value);
-      if (slot.violated) {
-        if (const std::vector<EdgeId>* cut = add_cut(std::move(slot.cut))) {
-          new_cuts.push_back(cut);
-          added = true;
-        }
+    for (std::size_t i = 0; i < dests.size(); ++i) {
+      min_flow = std::min(min_flow, memo.value[i]);
+      if (memo.value[i] >= threshold || (reuse && memo.value[i] < memo.threshold)) continue;
+      std::vector<EdgeId> cut;
+      if (reuse) {
+        if (chunk_solver[0] == nullptr) chunk_solver[0] = std::make_unique<MaxFlowSolver>(g);
+        chunk_solver[0]->solve(source, dests[i], load, chunk_scratch[0]);
+        cut = chunk_scratch[0].min_cut_edges;
+      } else {
+        cut = std::move(violated_cut[i]);
+      }
+      if (const std::vector<EdgeId>* pooled = add_cut(std::move(cut))) {
+        new_cuts.push_back(pooled);
+        added = true;
       }
     }
+    memo.threshold = std::max(memo.threshold, threshold);
     solution.phase_stats.separation_wall_ms += separation_timer.millis();
     return added;
   };
@@ -445,6 +500,7 @@ void PlannerSession::run_cutting_solve() {
                "solve_ssb_cutting_plane: value master " + to_string(value_sol.status));
     solution.lp_iterations += value_sol.iterations;
     master_tp = value_sol.x[tp_var_];
+    master_tp_bound_ = std::min(master_tp_bound_, master_tp);
 
     const double eps_lex = 1e-10 * std::max(1.0, master_tp);
     const double tp_floor = master_tp - eps_lex;
@@ -630,15 +686,12 @@ const SsbSolution& PlannerSession::solve() {
     // next solve() rebuild them from the pool, so the session survives the
     // error.
     ++stats_.rollbacks;
-    value_master_.reset();
-    stable_master_.reset();
-    value_cold_ = stable_cold_ = true;
+    drop_standing_masters();
     throw;
   }
   cutting_dirty_ = false;
   // run_cutting_solve builds a fresh SsbSolution, so the tier is kExact
-  // here; an optimum also re-anchors the heuristic rung's reference.
-  last_good_tp_ = cutting_solution_.throughput;
+  // here; an optimum also re-prices the heuristic rung.
   last_good_loads_ = cutting_solution_.edge_load;
   return cutting_solution_;
 }
@@ -652,12 +705,32 @@ void PlannerSession::check_solve_budget(const SsbSolution& solution) {
   throw Error("PlannerSession: solve budget exhausted (ladder deadline)");
 }
 
+/// An upper bound on TP* of the current platform: the lowest value-master
+/// TP since the last mutation (a relaxation), else -- no round finished --
+/// the receive-port bound: destination w takes TP slices per time-unit
+/// through its in-port, each at least its fastest live in-arc's time, so
+/// TP* <= min_w 1 / min in-arc time.
+double PlannerSession::throughput_upper_bound() const {
+  if (std::isfinite(master_tp_bound_)) return master_tp_bound_;
+  const Digraph& g = platform_.graph();
+  double bound = std::numeric_limits<double>::infinity();
+  for (NodeId w = 0; w < g.num_nodes(); ++w) {
+    if (w == platform_.source()) continue;
+    double fastest = std::numeric_limits<double>::infinity();
+    for (EdgeId e : g.in_edges(w)) {
+      if (!removed_[e]) fastest = std::min(fastest, platform_.edge_time(e));
+    }
+    bound = std::min(bound, 1.0 / fastest);
+  }
+  return bound;
+}
+
 /// The heuristic rung: one arborescence priced by the last LP optimum's
 /// loads -- arcs the optimum leaned on are cheap, so the tree follows the
 /// optimal flow pattern where it can -- rated by its own port occupation
 /// (the tree streamed alone saturates its busiest port; rate = 1 / that
 /// occupation).  Always a feasible broadcast plan; typically within a few
-/// tens of percent of TP* (quality_gap reports the estimate).
+/// tens of percent of TP* (quality_gap bounds the loss from above).
 SsbSolution PlannerSession::heuristic_solution() const {
   const Digraph& g = platform_.graph();
   const std::size_t m = g.num_edges();
@@ -704,8 +777,8 @@ SsbSolution PlannerSession::heuristic_solution() const {
   column.rate = rate;
   solution.tree_columns.push_back(std::move(column));
   solution.tier = PlanTier::kHeuristic;
-  solution.quality_gap =
-      last_good_tp_ > 0.0 ? std::max(0.0, (last_good_tp_ - rate) / last_good_tp_) : 0.0;
+  const double bound = throughput_upper_bound();
+  solution.quality_gap = std::max(0.0, (bound - rate) / bound);
   return solution;
 }
 
@@ -760,6 +833,21 @@ void PlannerSession::note_mutation() {
   ++stats_.mutations;
   cutting_dirty_ = true;
   packing_dirty_ = true;
+  master_tp_bound_ = std::numeric_limits<double>::infinity();
+  // Killed columns and their pin rows are dead weight in the standing
+  // masters.  Once they outnumber the live rows, drop the pair: the next
+  // solve rebuilds it from the pool, as after a rollback.  This bounds
+  // each master to twice its live (pool-built) row count.
+  if (value_master_ != nullptr && killed_columns_ > value_master_->num_rows() - killed_columns_) {
+    drop_standing_masters();
+    ++stats_.compactions;
+  }
+}
+
+void PlannerSession::drop_standing_masters() {
+  value_master_.reset();
+  stable_master_.reset();
+  value_cold_ = stable_cold_ = true;
 }
 
 void PlannerSession::kill_arc_column(EdgeId e) {
@@ -768,8 +856,33 @@ void PlannerSession::kill_arc_column(EdgeId e) {
   value_master_->append_row(pin, RowSense::kLessEqual, 0.0);
   if (stable_master_ != nullptr) stable_master_->append_row(pin, RowSense::kLessEqual, 0.0);
   var_alive_[e] = 0;
-  mapping_identity_ = false;
+  ++killed_columns_;
   ++stats_.kill_rows;
+}
+
+/// Rewrite arc e's live column under its new time in place -- the two
+/// port-row coefficients, and the stable master's weight -- when it is
+/// non-basic in both standing masters.  Returns false (nothing changed)
+/// when the column is basic or pinned (a removed arc being restored).
+bool PlannerSession::update_arc_column(EdgeId e) {
+  if (!var_alive_[e]) return false;
+  const std::size_t var = var_of_arc_[e];
+  if (value_master_->is_basic(var) ||
+      (stable_master_ != nullptr && stable_master_->is_basic(var))) {
+    return false;
+  }
+  const Digraph& g = platform_.graph();
+  const double t = platform_.edge_time(e);
+  const std::size_t from_row = out_row_[g.from(e)];
+  const std::size_t to_row = in_row_[g.to(e)];
+  value_master_->update_nonbasic_column(var, 0.0, {{from_row, t}, {to_row, t}});
+  if (stable_master_ != nullptr) {
+    // The stable master's rows sit one past the value master's.
+    stable_master_->update_nonbasic_column(var, -stabilization_weight(e),
+                                           {{from_row + 1, t}, {to_row + 1, t}});
+  }
+  ++stats_.columns_updated;
+  return true;
 }
 
 void PlannerSession::replace_arc_column(EdgeId e) {
@@ -801,7 +914,6 @@ void PlannerSession::replace_arc_column(EdgeId e) {
   }
   var_of_arc_[e] = var;
   var_alive_[e] = 1;
-  mapping_identity_ = false;
   ++stats_.replacement_columns;
 }
 
@@ -810,16 +922,16 @@ void PlannerSession::set_link_cost(EdgeId e, LinkCost cost) {
   removed_[e] = 0;
   const bool stabilized = options_.cutting.load_penalty > 0.0;
   if (value_master_ != nullptr && (!stabilized || stable_master_ != nullptr)) {
-    kill_arc_column(e);
-    replace_arc_column(e);
+    if (!update_arc_column(e)) {
+      kill_arc_column(e);
+      replace_arc_column(e);
+    }
   } else {
     // No consistent standing pair to delta (pre-first-solve, post-rollback,
     // or legacy rebuild mode): drop them and let the next solve rebuild
     // from the pool, which link-cost changes leave valid (cut rows are
     // time-free).
-    value_master_.reset();
-    stable_master_.reset();
-    value_cold_ = stable_cold_ = true;
+    drop_standing_masters();
   }
   note_mutation();
 }
@@ -839,9 +951,7 @@ void PlannerSession::remove_link(EdgeId e) {
   if (value_master_ != nullptr && (!stabilized || stable_master_ != nullptr)) {
     kill_arc_column(e);
   } else {
-    value_master_.reset();
-    stable_master_.reset();
-    value_cold_ = stable_cold_ = true;
+    drop_standing_masters();
   }
   drop_pool_trees_containing(e);
   note_mutation();
@@ -1227,8 +1337,8 @@ const SsbPackingSolution& PlannerSession::solve_packing() {
 
 // ---- schedule synthesis -----------------------------------------------------
 
-const PeriodicSchedule& PlannerSession::schedule() {
-  if (schedule_ != nullptr && schedule_version_ == version_) return *schedule_;
+std::shared_ptr<const PeriodicSchedule> PlannerSession::schedule() {
+  if (schedule_ != nullptr && schedule_version_ == version_) return schedule_;
   // Synthesis fans out over the same worker pool as the masters (per-tree
   // validation, the BvN consume step, the decomposition certificate), so a
   // caller pinning the pool width -- the churn determinism matrix -- covers
@@ -1243,21 +1353,40 @@ const PeriodicSchedule& PlannerSession::schedule() {
     decomposition.pool = options_.colgen.pool;
     built = synthesize_schedule(platform_, packing_solution_, orchestration, decomposition);
   } else if (!cutting_dirty_) {
-    // Fresh cutting-plane loads: decompose, then orchestrate.
     orchestration.port_model = options_.cutting.port_model;
     orchestration.pool = options_.cutting.pool;
     decomposition.pool = options_.cutting.pool;
-    built = synthesize_schedule(platform_, cutting_solution_, orchestration, decomposition);
+    if (!cutting_solution_.tree_columns.empty()) {
+      // A heuristic-tier answer carries its tree.
+      built = synthesize_schedule(platform_, cutting_solution_, orchestration, decomposition);
+    } else {
+      // Fresh cutting-plane loads: decompose -- unless TP and loads are
+      // bitwise those of the last decomposition, whose trees are then
+      // exactly what decompose_edge_load would return -- and orchestrate
+      // under the current link times.
+      DecompositionMemo& memo = decomposition_memo_;
+      if (memo.valid && same_bits(memo.throughput, cutting_solution_.throughput) &&
+          same_bits(memo.edge_load, cutting_solution_.edge_load)) {
+        ++stats_.decompositions_reused;
+      } else {
+        memo.valid = false;
+        memo.trees = decompose_edge_load(platform_, cutting_solution_, decomposition).trees;
+        memo.throughput = cutting_solution_.throughput;
+        memo.edge_load = cutting_solution_.edge_load;
+        memo.valid = true;
+      }
+      built = orchestrate_one_port(platform_, memo.trees, orchestration);
+    }
   } else {
     orchestration.port_model = options_.colgen.port_model;
     orchestration.pool = options_.colgen.pool;
     decomposition.pool = options_.colgen.pool;
     built = synthesize_schedule(platform_, solve_packing(), orchestration, decomposition);
   }
-  schedule_ = std::make_unique<PeriodicSchedule>(std::move(built));
+  schedule_ = std::make_shared<const PeriodicSchedule>(std::move(built));
   schedule_version_ = version_;
   ++stats_.schedules_built;
-  return *schedule_;
+  return schedule_;
 }
 
 }  // namespace bt

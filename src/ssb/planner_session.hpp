@@ -19,16 +19,30 @@
 //
 //  * Cutting plane: the deduplicated cut pool plus the standing value and
 //    stable masters (see ssb_cutting_plane.hpp for the lexicographic
-//    two-master scheme).  Platform deltas are translated into row/column
-//    appends on the standing masters -- a changed link time "kills" the
-//    arc's column with an appended  n_e <= 0  row and adds a replacement
-//    column carrying the new port-row coefficients (cut rows are
-//    time-free, so the replacement only re-enters the pooled cuts that
-//    contain the arc); a removed link just kills its column.  Both keep
-//    the standing basis dual feasible, so the next solve() re-converges
-//    with a handful of dual pivots plus a short separation tail instead
-//    of a cold solve.  A differential test pins warm == cold to <= 1e-9
-//    relative throughput.
+//    two-master scheme).  Platform deltas are translated into edits of the
+//    standing masters.  A changed link time of an arc whose column is
+//    non-basic in both masters -- the common case, the optimum leaves most
+//    arcs unloaded -- rewrites the column's two port-row coefficients (and
+//    the stable master's weight) in place.  A basic column is "killed" with
+//    an appended  n_e <= 0  row instead, and a replacement column carrying
+//    the new port-row coefficients is added (cut rows are time-free, so the
+//    replacement only re-enters the pooled cuts that contain the arc); a
+//    removed link just kills its column.  All three keep the standing basis
+//    valid, so the next solve() re-converges with a handful of pivots plus
+//    a short separation tail instead of a cold solve.  Killed columns and
+//    their rows are dead weight: once they outnumber the masters' live rows
+//    the pair is dropped and the next solve() rebuilds it from the pool, so
+//    each standing master stays within twice its pool-built row count.  A
+//    differential test pins warm == cold to <= 1e-9 relative throughput.
+//
+//  * Separation memo: the last separated load vector with each
+//    destination's max-flow value.  Max-flow results depend only on
+//    (graph, source, load), so a round whose loads are bitwise equal to the
+//    memo's reuses the values -- within a solve (the polish round
+//    re-separates the loads the main loop just certified) and across solves
+//    (a mutation of an arc the plan leaves unloaded).  The cuts the memo's
+//    round found are in the pool already; only destinations that a tighter
+//    tolerance newly finds violated run their max-flow again.
 //
 //  * Column generation: the tree-column pool.  Mutations re-seed the
 //    packing master from the pooled trees (minus any tree over a removed
@@ -37,12 +51,17 @@
 //    of the ROADMAP.
 //
 //  * Schedule synthesis: the current platform version's PeriodicSchedule,
-//    re-synthesized lazily after mutations.
+//    re-synthesized lazily after mutations, plus the trees of the last
+//    decomposition with the TP and loads they came from.  Tree
+//    decomposition reads only the graph, the source, TP and the loads, so a
+//    re-plan that returns bitwise-equal TP and loads re-uses the trees and
+//    only re-orchestrates them under the new link times.
 //
 // add_node is the structural fallback: pooled cuts are no longer
 // source->w cuts of the grown graph and pooled trees no longer span, so
-// the session resets its solver state and the next solve() is cold (by
-// design -- the delta machinery covers the *numeric* mutations).
+// the session resets its solver state and both memos, and the next solve()
+// is cold (by design -- the delta machinery covers the *numeric*
+// mutations).
 //
 // Error rollback: if a solve fails (numerical breakdown that even the
 // rebuild-from-pool retry cannot repair, a round/column cap, a platform
@@ -56,6 +75,7 @@
 // one-writer guard.
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
 #include <vector>
@@ -102,6 +122,10 @@ struct PlannerSessionStats {
   std::uint64_t mutations = 0;        ///< platform deltas applied
   std::uint64_t kill_rows = 0;        ///< arc columns retired by n_e <= 0 rows
   std::uint64_t replacement_columns = 0;  ///< arc columns re-entered
+  std::uint64_t columns_updated = 0;  ///< non-basic arc columns rewritten in place
+  std::uint64_t compactions = 0;      ///< standing pairs dropped for dead columns
+  std::uint64_t separations_reused = 0;    ///< separation rounds answered by the memo
+  std::uint64_t decompositions_reused = 0; ///< schedule() builds that re-used the last trees
   std::uint64_t master_rebuilds = 0;  ///< breakdown rebuilds from the pool
   std::uint64_t rollbacks = 0;        ///< failed solves that reset masters
   std::uint64_t stable_stalls = 0;    ///< lex-polish stalls downgraded to value loads
@@ -161,6 +185,15 @@ struct ShrinkRemap {
 /// constructor) if the remaining platform cannot broadcast.
 Platform shrink_platform(const Platform& platform, NodeId node, ShrinkRemap* remap = nullptr);
 
+/// Row counts of the standing cutting-plane masters (0 where none stands)
+/// and of a value master freshly built from the current pools (the stable
+/// master's build has one row more, its TP floor).
+struct StandingMasterRows {
+  std::size_t value = 0;
+  std::size_t stable = 0;
+  std::size_t pool_built = 0;
+};
+
 class PlannerSession {
  public:
   /// Load: the session copies the platform and seeds its pools.  Throws
@@ -176,6 +209,7 @@ class PlannerSession {
   std::uint64_t version() const { return version_; }
   bool link_removed(EdgeId e) const;
   const PlannerSessionStats& stats() const { return stats_; }
+  StandingMasterRows standing_master_rows() const;
 
   /// Solve (or warm re-solve) the cutting-plane masters for TP* and the
   /// stable edge loads.  Cached until the next mutation.  On failure the
@@ -200,15 +234,18 @@ class PlannerSession {
   const SsbPackingSolution& solve_packing();
 
   /// The synthesized periodic schedule of the current platform version,
-  /// built lazily and cached.  Uses the packing solution's exact tree
-  /// columns when they are fresh, else decomposes the cutting-plane loads.
-  const PeriodicSchedule& schedule();
+  /// built lazily and cached; callers share the session's copy.  Uses the
+  /// packing solution's exact tree columns when they are fresh, else
+  /// decomposes the cutting-plane loads (re-using the last decomposition
+  /// when TP and loads are bitwise unchanged).
+  std::shared_ptr<const PeriodicSchedule> schedule();
 
   // ---- mutation layer -----------------------------------------------------
 
   /// Replace arc e's affine cost (degraded or re-measured link).  Also
   /// restores a removed link.  Standing masters absorb this as a warm
-  /// kill-and-replace delta.
+  /// delta: an in-place column update when the arc's column is non-basic,
+  /// else kill-and-replace.
   void set_link_cost(EdgeId e, LinkCost cost);
 
   /// Scale arc e's cost (alpha and beta) by `factor` -- "link (u,v)
@@ -248,6 +285,8 @@ class PlannerSession {
   void run_cutting_solve();
   void kill_arc_column(EdgeId e);
   void replace_arc_column(EdgeId e);
+  bool update_arc_column(EdgeId e);
+  void drop_standing_masters();
 
   // packing internals
   void reset_packing_state();
@@ -256,6 +295,7 @@ class PlannerSession {
 
   // ladder internals
   void check_solve_budget(const SsbSolution& solution);
+  double throughput_upper_bound() const;
   SsbSolution heuristic_solution() const;
 
   void note_mutation();
@@ -278,7 +318,9 @@ class PlannerSession {
   /// has a live column at all.
   std::vector<std::size_t> var_of_arc_;
   std::vector<char> var_alive_;
-  bool mapping_identity_ = true;
+  /// Columns killed since the standing masters were last built (each left
+  /// one dead column and one pin row behind).
+  std::size_t killed_columns_ = 0;
   std::size_t tp_var_ = 0;
   /// Value-master port-row index of each node's out/in port (the stable
   /// master's rows sit at +1 past its TP-floor row).  Under the
@@ -292,6 +334,17 @@ class PlannerSession {
   std::vector<CutEntry> master_cuts_;
   bool cutting_dirty_ = true;
   SsbSolution cutting_solution_;
+  /// Separation memo (see header comment): per destination, in node order
+  /// without the source, the max-flow value under `load`; every
+  /// destination whose value lies below `threshold` has its min cut in the
+  /// pool.
+  struct SeparationMemo {
+    bool valid = false;
+    std::vector<double> load;
+    double threshold = 0.0;
+    std::vector<double> value;
+  };
+  SeparationMemo separation_memo_;
 
   // ---- packing state ----
   std::set<std::vector<EdgeId>> tree_seen_;          ///< dedup keys (sorted)
@@ -300,8 +353,16 @@ class PlannerSession {
   SsbPackingSolution packing_solution_;
 
   // ---- schedule cache ----
-  std::unique_ptr<PeriodicSchedule> schedule_;
+  std::shared_ptr<const PeriodicSchedule> schedule_;
   std::uint64_t schedule_version_ = 0;
+  /// The last decomposition of cutting-plane loads and its inputs.
+  struct DecompositionMemo {
+    bool valid = false;
+    double throughput = 0.0;
+    std::vector<double> edge_load;
+    std::vector<PackedTree> trees;
+  };
+  DecompositionMemo decomposition_memo_;
 
   // ---- ladder state ----
   /// Budgets of the solve_laddered call in flight (0 = unlimited outside
@@ -310,10 +371,14 @@ class PlannerSession {
   double wall_budget_ms_ = 0.0;
   Timer budget_timer_;
   bool budget_hit_ = false;
-  /// The most recent LP-optimal answer: prices the heuristic rung's
-  /// arborescence and anchors quality_gap.
-  double last_good_tp_ = 0.0;
+  /// The most recent LP-optimal loads: price the heuristic rung's
+  /// arborescence.
   std::vector<double> last_good_loads_;
+  /// Lowest value-master TP seen since the last mutation.  The value master
+  /// is a relaxation of the current platform, so this bounds TP* from
+  /// above and anchors a heuristic answer's quality_gap (+inf: no round
+  /// has finished).
+  double master_tp_bound_ = std::numeric_limits<double>::infinity();
 };
 
 }  // namespace bt

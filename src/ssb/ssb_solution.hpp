@@ -37,7 +37,7 @@ enum class PlanTier {
   kRebuild = 1,
   /// A single LP-load-priced arborescence rated by its port occupation --
   /// a feasible broadcast plan, not an optimum (budget exhausted, or both
-  /// LP rungs failed).  quality_gap estimates the loss.
+  /// LP rungs failed).  quality_gap bounds the loss from above.
   kHeuristic = 2,
 };
 
@@ -75,9 +75,12 @@ struct SsbSolution {
   /// solves always report kExact (they fail instead of degrading); the
   /// session/service ladder fills the lower tiers.
   PlanTier tier = PlanTier::kExact;
-  /// Estimated relative distance to the optimum: 0 for the exact tiers; for
-  /// kHeuristic, (last_good_TP - TP) / last_good_TP against the most recent
-  /// LP optimum this session produced (0 when none exists yet).
+  /// Relative distance to the optimum, never understated: 0 for the exact
+  /// tiers; for kHeuristic, (UB - TP) / UB against an upper bound UB >= TP*
+  /// of the current platform -- the lowest value-master TP of the aborted
+  /// solve (the master is a relaxation), or, when no separation round
+  /// finished, the receive-port bound min over destinations w of
+  /// 1 / (w's fastest live in-arc time).
   double quality_gap = 0.0;
   /// Diagnostics.
   std::size_t lp_iterations = 0;

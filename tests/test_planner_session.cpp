@@ -1,16 +1,24 @@
 // Tests for the long-lived PlannerSession (ssb/planner_session.hpp): the
 // load -> solve -> query -> mutate -> re-solve lifecycle, the differential
 // guarantee that warm delta re-plans agree with cold solves to <= 1e-9
-// relative throughput, the error-rollback contract, and the schedule /
-// packing-pool caching.
+// relative throughput, the error-rollback contract, the schedule /
+// packing-pool caching, the separation and decomposition memos (re-plans
+// answer bitwise what the layers' free functions answer), and the bound on
+// the standing masters' growth under long mutation streams.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "platform/platform.hpp"
 #include "platform/random_generator.hpp"
+#include "scenario/event_stream.hpp"
+#include "sched/orchestrate.hpp"
+#include "sched/tree_decomposition.hpp"
 #include "ssb/planner_session.hpp"
 #include "ssb/ssb_column_generation.hpp"
 #include "ssb/ssb_cutting_plane.hpp"
@@ -185,22 +193,22 @@ TEST(PlannerSession, GrowPlatformValidates) {
 TEST(PlannerSession, ScheduleIsCachedPerVersionAndTracksThroughput) {
   const Platform p = random_platform(12, 99);
   PlannerSession session(p);
-  const PeriodicSchedule& sched0 = session.schedule();
+  const std::shared_ptr<const PeriodicSchedule> sched0 = session.schedule();
   const double tp = session.throughput();
   // The realized schedule never beats the LP optimum and stays within the
   // synthesis guarantees (see test_sched.cpp for the tight dyadic cases).
-  EXPECT_LE(sched0.throughput(), tp * (1.0 + 1e-9));
-  EXPECT_GE(sched0.throughput(), tp * 0.45);
-  EXPECT_EQ(&session.schedule(), &sched0);  // cached object
+  EXPECT_LE(sched0->throughput(), tp * (1.0 + 1e-9));
+  EXPECT_GE(sched0->throughput(), tp * 0.45);
+  EXPECT_EQ(session.schedule(), sched0);  // the cached object, shared
   EXPECT_EQ(session.stats().schedules_built, 1u);
 
   const EdgeId e = 0;
   session.scale_link_time(e, 1.8);
-  const PeriodicSchedule& sched1 = session.schedule();
+  const std::shared_ptr<const PeriodicSchedule> sched1 = session.schedule();
   EXPECT_EQ(session.stats().schedules_built, 2u);
   const double tp1 = session.throughput();
-  EXPECT_LE(sched1.throughput(), tp1 * (1.0 + 1e-9));
-  EXPECT_GE(sched1.throughput(), tp1 * 0.45);
+  EXPECT_LE(sched1->throughput(), tp1 * (1.0 + 1e-9));
+  EXPECT_GE(sched1->throughput(), tp1 * 0.45);
 }
 
 TEST(PlannerSession, PackingPoolSeededResolveMatchesBatch) {
@@ -235,20 +243,153 @@ TEST(PlannerSession, PackingPoolSeededResolveMatchesBatch) {
   }
 }
 
-TEST(PlannerSession, StatsCountMutationMachinery) {
-  const Platform p = random_platform(10, 404);
+/// The service's session configuration: warm polish only.
+PlannerSessionOptions service_options() {
   PlannerSessionOptions options;
   options.cold_polish = false;
-  PlannerSession session(p, options);
+  return options;
+}
+
+/// The most loaded arc of a plan (its column is basic: positive value).
+EdgeId most_loaded_arc(const SsbSolution& plan) {
+  return static_cast<EdgeId>(std::max_element(plan.edge_load.begin(), plan.edge_load.end()) -
+                             plan.edge_load.begin());
+}
+
+TEST(PlannerSession, StatsCountMutationMachinery) {
+  const Platform p = random_platform(10, 404);
+  PlannerSession session(p, service_options());
   session.solve();
+  // Arc 0 is unloaded, so its column is non-basic and rewritten in place.
   session.scale_link_time(0, 1.5);
+  const EdgeId loaded = most_loaded_arc(session.solve());
+  EXPECT_EQ(session.stats().columns_updated, 1u);
+  EXPECT_EQ(session.stats().kill_rows, 0u);
+  // A loaded arc's column is basic: kill-and-replace.
+  session.scale_link_time(loaded, 1.5);
   session.solve();
   const PlannerSessionStats& stats = session.stats();
-  EXPECT_EQ(stats.mutations, 1u);
-  EXPECT_GE(stats.kill_rows, 1u);
-  EXPECT_GE(stats.replacement_columns, 1u);
-  EXPECT_GE(stats.warm_resolves, 1u);
+  EXPECT_EQ(stats.mutations, 2u);
+  EXPECT_EQ(stats.columns_updated, 1u);
+  EXPECT_EQ(stats.kill_rows, 1u);
+  EXPECT_EQ(stats.replacement_columns, 1u);
+  EXPECT_GE(stats.warm_resolves, 2u);
   EXPECT_EQ(stats.rollbacks, 0u);
+  EXPECT_LE(rel_diff(session.solve().throughput, session.solve_cold().throughput), 1e-9);
+}
+
+void expect_same_schedule(const PeriodicSchedule& a, const PeriodicSchedule& b,
+                          const std::string& where) {
+  EXPECT_EQ(a.period, b.period) << where;
+  EXPECT_EQ(a.slices_per_period, b.slices_per_period) << where;
+  ASSERT_EQ(a.trees.size(), b.trees.size()) << where;
+  for (std::size_t t = 0; t < a.trees.size(); ++t) {
+    EXPECT_EQ(a.trees[t].edges, b.trees[t].edges) << where << " tree " << t;
+    EXPECT_EQ(a.trees[t].slices_per_period, b.trees[t].slices_per_period) << where;
+  }
+  ASSERT_EQ(a.rounds.size(), b.rounds.size()) << where;
+  for (std::size_t r = 0; r < a.rounds.size(); ++r) {
+    EXPECT_EQ(a.rounds[r].duration, b.rounds[r].duration) << where << " round " << r;
+    ASSERT_EQ(a.rounds[r].transfers.size(), b.rounds[r].transfers.size()) << where;
+    for (std::size_t k = 0; k < a.rounds[r].transfers.size(); ++k) {
+      const ScheduleTransfer& x = a.rounds[r].transfers[k];
+      const ScheduleTransfer& y = b.rounds[r].transfers[k];
+      EXPECT_TRUE(x.arc == y.arc && x.tree == y.tree && x.amount == y.amount)
+          << where << " round " << r << " transfer " << k;
+    }
+  }
+}
+
+// The session's schedule, memo or not, is bitwise what the layers' free
+// functions build from the session's own plan -- the agreement the traced
+// benchmark run checks between its spans and the service.
+TEST(PlannerSession, ScheduleEqualsLayerFunctionsAlongMutationStream) {
+  const Platform p = random_platform(30, 8080);
+  PlannerSession session(p, service_options());
+  Rng rng(17);
+  LinkChurnSampler sampler(p, LinkChurnSampler::Config{});
+  for (int step = 0; step < 40; ++step) {
+    if (step > 0) {
+      if (sampler.has_outstanding() && rng.bernoulli(0.5)) {
+        const auto restore = sampler.pop_restore();
+        session.set_link_cost(restore.edge, restore.cost);
+      } else {
+        const auto degrade = sampler.sample_degrade(rng);
+        session.scale_link_time(degrade.edge, degrade.factor);
+      }
+    }
+    const SsbSolution plan = session.solve();
+    const std::shared_ptr<const PeriodicSchedule> schedule = session.schedule();
+    const TreeDecomposition trees = decompose_edge_load(session.platform(), plan);
+    const PeriodicSchedule expected = orchestrate_one_port(session.platform(), trees.trees);
+    expect_same_schedule(*schedule, expected, "step " + std::to_string(step));
+    EXPECT_LE(rel_diff(plan.throughput, session.solve_cold().throughput), 1e-9)
+        << "step " << step;
+  }
+  // The stream hits unloaded arcs often enough for both memos to answer.
+  EXPECT_GT(session.stats().separations_reused, 0u);
+  EXPECT_GT(session.stats().decompositions_reused, 0u);
+}
+
+// A re-plan whose loads come back bitwise equal runs no max-flow and no
+// decomposition; one whose loads change re-runs both.
+TEST(PlannerSession, MemosAnswerExactlyWhenLoadsAreUnchanged) {
+  const Platform p = random_platform(30, 8080);
+  PlannerSession session(p, service_options());
+  const SsbSolution first = session.solve();
+  session.schedule();
+  const PlannerSessionStats before = session.stats();
+
+  EdgeId unloaded = 0;
+  while (first.edge_load[unloaded] != 0.0) ++unloaded;
+  session.scale_link_time(unloaded, 1.5);
+  const SsbSolution same = session.solve();
+  session.schedule();
+  EXPECT_EQ(same.edge_load, first.edge_load);
+  EXPECT_EQ(same.throughput, first.throughput);
+  EXPECT_EQ(session.stats().separations_reused - before.separations_reused,
+            same.separation_rounds);  // every round answered by the memo
+  EXPECT_EQ(session.stats().decompositions_reused, before.decompositions_reused + 1);
+
+  const PlannerSessionStats middle = session.stats();
+  session.scale_link_time(most_loaded_arc(same), 2.0);
+  const SsbSolution changed = session.solve();
+  session.schedule();
+  EXPECT_NE(changed.edge_load, same.edge_load);
+  EXPECT_LT(session.stats().separations_reused - middle.separations_reused,
+            changed.separation_rounds);  // the new loads ran max-flows
+  EXPECT_EQ(session.stats().decompositions_reused, middle.decompositions_reused);
+  EXPECT_LE(rel_diff(changed.throughput, session.solve_cold().throughput), 1e-9);
+}
+
+// Killed columns leave dead rows behind; the session drops the standing
+// pair once they outnumber the live rows, so a long degrade/restore stream
+// keeps each master within twice its pool-built row count.  Solves every
+// 20th mutation re-load columns (a solve makes some replacement columns
+// basic again, so later deltas on them kill); the bound holds after every
+// mutation either way.
+TEST(PlannerSession, StandingMastersStayBoundedUnderLongMutationStreams) {
+  const Platform p = random_platform(30, 2718);
+  PlannerSession session(p, service_options());
+  session.solve();
+  Rng rng(29);
+  LinkChurnSampler sampler(p, LinkChurnSampler::Config{});
+  for (int step = 0; step < 2000; ++step) {
+    if (sampler.has_outstanding() && rng.bernoulli(0.5)) {
+      const auto restore = sampler.pop_restore();
+      session.set_link_cost(restore.edge, restore.cost);
+    } else {
+      const auto degrade = sampler.sample_degrade(rng);
+      session.scale_link_time(degrade.edge, degrade.factor);
+    }
+    if (step % 20 == 0) session.solve();
+    const StandingMasterRows rows = session.standing_master_rows();
+    ASSERT_LE(rows.value, 2 * rows.pool_built) << "step " << step;
+    ASSERT_LE(rows.stable, 2 * (rows.pool_built + 1)) << "step " << step;
+  }
+  EXPECT_GT(session.stats().compactions, 0u);
+  EXPECT_GT(session.stats().columns_updated, session.stats().kill_rows);
+  EXPECT_LE(rel_diff(session.solve().throughput, session.solve_cold().throughput), 1e-9);
 }
 
 }  // namespace
