@@ -317,6 +317,9 @@ int main() {
                 TablePrinter::fmt(cut_new_master, 2), TablePrinter::fmt(cut_speedup, 2),
                 TablePrinter::fmt(std::abs(cut_new.throughput - cut_old.throughput), 9)});
     summary.push_back({"cutting_hypersparse_master_speedup_n120", num(cut_speedup)});
+    // Refactorization cost of the cutting-plane masters (record only).
+    summary.push_back({"cutting_factorize_ns_per_call_n120",
+                       num(cut_new.lp_stats.factorize_ns_per_call())});
 
     (void)solve_ssb_column_generation(p, colgen_default);
     (void)solve_ssb_column_generation(p, cg_legacy);

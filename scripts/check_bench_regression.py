@@ -71,6 +71,8 @@ LP_REACH_FIELDS = [
 # for the CI log, never gated -- 2-vCPU shared runners cannot produce a
 # stable parallel speedup, so any floor here would only flake.  The bitwise
 # agreement between pool widths IS gated (correctness, not performance).
+# The cutting-plane masters' ns per factorization is recorded beside them:
+# an absolute per-host time, so it is not gated either.
 LP_RECORD_ONLY_FIELDS = [
     "insolver_threads",
     "insolver_cutting_nodes",
@@ -83,6 +85,7 @@ LP_RECORD_ONLY_FIELDS = [
     "insolver_colgen_wall_ms_widthN",
     "insolver_colgen_speedup",
     "insolver_colgen_pricing_wall_ms",
+    "cutting_factorize_ns_per_call_n120",
 ]
 
 SERVICE_FLOOR_FIELDS = [

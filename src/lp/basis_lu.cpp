@@ -60,6 +60,17 @@ void BasisLu::set_solve_mode(SolveMode mode) {
 }
 
 bool BasisLu::factorize(std::size_t m, const std::vector<SparseColumnView>& columns) {
+  ++stats_.factorize_calls;
+  if (!collect_timing_) return factorize_basis(m, columns);
+  const auto t0 = std::chrono::steady_clock::now();
+  const bool ok = factorize_basis(m, columns);
+  stats_.factorize_ns += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0).count());
+  return ok;
+}
+
+bool BasisLu::factorize_basis(std::size_t m, const std::vector<SparseColumnView>& columns) {
   if (fault_fire(FaultSite::kSingularRefactor)) return false;
   m_ = m;
   etas_.clear();
@@ -110,31 +121,78 @@ bool BasisLu::factorize(std::size_t m, const std::vector<SparseColumnView>& colu
   // Working copy of B, column-wise, plus row occupancy for Markowitz counts.
   // Column entry lists stay exact (entries are removed the moment their row
   // or column leaves the active submatrix); row_cols may carry stale column
-  // ids, which are filtered on use.  All of it lives in the reusable
+  // ids, which are filtered on use.  The two are cross-indexed: row_pos
+  // gives the position of entry (i, row_cols[i][s]) in its column, and
+  // cslot the slot of a column entry in its row's list, so a pivot-row
+  // entry is found and detached in O(1).  All of it lives in the reusable
   // workspace: clear()ed vectors keep their heap buffers across refactors.
   auto& crows = fw_.crows;
   auto& cvals = fw_.cvals;
+  auto& cslot = fw_.cslot;
   auto& row_count = fw_.row_count;
   auto& row_cols = fw_.row_cols;
+  auto& row_pos = fw_.row_pos;
   auto& colmax = fw_.colmax;
+  auto& colmax_count = fw_.colmax_count;
   if (crows.size() < m) {
     crows.resize(m);
     cvals.resize(m);
+    cslot.resize(m);
     row_cols.resize(m);
+    row_pos.resize(m);
   }
   row_count.assign(m, 0);
   colmax.assign(m, 0.0);
-  for (std::size_t i = 0; i < m; ++i) row_cols[i].clear();
+  colmax_count.assign(m, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    row_cols[i].clear();
+    row_pos[i].clear();
+  }
+  // Refresh a column's cached max |value| and the number of entries that
+  // reach it (a detach rescans only when the last of those leaves).
+  auto rescan_colmax = [&](std::size_t j) {
+    double cm = 0.0;
+    std::uint32_t count = 0;
+    for (const double v : cvals[j]) {
+      const double av = std::abs(v);
+      if (av > cm) {
+        cm = av;
+        count = 1;
+      } else if (av == cm) {
+        ++count;
+      }
+    }
+    colmax[j] = cm;
+    colmax_count[j] = count;
+  };
   for (std::size_t j = 0; j < m; ++j) {
     const SparseColumnView& col = columns[j];
     crows[j].assign(col.rows, col.rows + col.nnz);
     cvals[j].assign(col.vals, col.vals + col.nnz);
+    cslot[j].resize(col.nnz);
     for (std::size_t t = 0; t < col.nnz; ++t) {
-      ++row_count[col.rows[t]];
-      row_cols[col.rows[t]].push_back(static_cast<std::uint32_t>(j));
-      colmax[j] = std::max(colmax[j], std::abs(col.vals[t]));
+      const std::uint32_t i = col.rows[t];
+      ++row_count[i];
+      cslot[j][t] = static_cast<std::uint32_t>(row_cols[i].size());
+      row_cols[i].push_back(static_cast<std::uint32_t>(j));
+      row_pos[i].push_back(static_cast<std::uint32_t>(t));
     }
+    rescan_colmax(j);
   }
+  // Swap-pop the entry at `pos` out of column j, re-pointing the row index
+  // of the entry that moves into its place.
+  auto detach = [&](std::size_t j, std::size_t pos) {
+    const std::size_t last = crows[j].size() - 1;
+    if (pos != last) {
+      crows[j][pos] = crows[j][last];
+      cvals[j][pos] = cvals[j][last];
+      cslot[j][pos] = cslot[j][last];
+      row_pos[crows[j][pos]][cslot[j][pos]] = static_cast<std::uint32_t>(pos);
+    }
+    crows[j].pop_back();
+    cvals[j].pop_back();
+    cslot[j].pop_back();
+  };
   auto& row_active = fw_.row_active;
   auto& col_active = fw_.col_active;
   auto& epos = fw_.epos;
@@ -223,34 +281,34 @@ bool BasisLu::factorize(std::size_t m, const std::vector<SparseColumnView>& colu
     }
     crows[jp].clear();
     cvals[jp].clear();
+    cslot[jp].clear();
 
-    // U row + rank-1 update, one pass per affected column: scatter the
-    // column into epos once, detach the pivot-row entry through it (O(1)
-    // instead of a linear search), apply W[j] -= u_j * L through it, and
-    // refresh the column's cached max and count bucket.
+    // U row + rank-1 update, one pass per affected column: take the
+    // pivot-row entry's position from the row index and detach it.  With an
+    // empty L column (a singleton pivot column, e.g. a slack) or u = 0 the
+    // column's other values do not change, so that is all -- its max only
+    // moves when the last entry reaching it leaves.  Otherwise scatter the
+    // column into epos, apply W[j] -= u_j * L through it and rescan the
+    // max.  Either way the column is re-bucketed by its new count.
     auto& uc = ucols_[step];
     auto& uv = uvals_[step];
-    for (const std::uint32_t j : row_cols[ip]) {
+    for (std::size_t s = 0; s < row_cols[ip].size(); ++s) {
+      const std::uint32_t j = row_cols[ip][s];
       if (!col_active[j]) continue;
-      for (std::size_t t = 0; t < crows[j].size(); ++t) {
-        epos[crows[j][t]] = static_cast<std::int64_t>(t);
-      }
-      const std::int64_t pos = epos[ip];
-      if (pos < 0) {  // stale occupancy entry
-        for (const std::uint32_t i : crows[j]) epos[i] = -1;
-        continue;
-      }
-      const double u = cvals[j][static_cast<std::size_t>(pos)];
+      const std::size_t pos = row_pos[ip][s];
+      const double u = cvals[j][pos];
       uc.push_back(j);
       uv.push_back(u);
-      // Detach the pivot-row entry (swap-pop), keeping epos consistent.
-      epos[crows[j].back()] = pos;
-      epos[ip] = -1;
-      crows[j][static_cast<std::size_t>(pos)] = crows[j].back();
-      crows[j].pop_back();
-      cvals[j][static_cast<std::size_t>(pos)] = cvals[j].back();
-      cvals[j].pop_back();
-      if (u != 0.0) {
+      if (lr.empty() || u == 0.0) {
+        detach(j, pos);
+        if (std::abs(u) == colmax[j] && --colmax_count[j] == 0) rescan_colmax(j);
+      } else {
+        for (std::size_t t = 0; t < crows[j].size(); ++t) {
+          epos[crows[j][t]] = static_cast<std::int64_t>(t);
+        }
+        epos[crows[j].back()] = static_cast<std::int64_t>(pos);
+        epos[ip] = -1;
+        detach(j, pos);
         for (std::size_t t = 0; t < lr.size(); ++t) {
           const std::uint32_t i = lr[t];
           const double delta = lv[t] * u;
@@ -258,21 +316,22 @@ bool BasisLu::factorize(std::size_t m, const std::vector<SparseColumnView>& colu
             cvals[j][static_cast<std::size_t>(epos[i])] -= delta;
           } else if (delta != 0.0) {
             epos[i] = static_cast<std::int64_t>(crows[j].size());
+            row_pos[i].push_back(static_cast<std::uint32_t>(crows[j].size()));
+            cslot[j].push_back(static_cast<std::uint32_t>(row_cols[i].size()));
             crows[j].push_back(i);
             cvals[j].push_back(-delta);
             ++row_count[i];
             row_cols[i].push_back(j);
           }
         }
+        rescan_colmax(j);
+        for (const std::uint32_t i : crows[j]) epos[i] = -1;
       }
-      double cm = 0.0;
-      for (const double v : cvals[j]) cm = std::max(cm, std::abs(v));
-      colmax[j] = cm;
-      for (const std::uint32_t i : crows[j]) epos[i] = -1;
       bucket_remove(j);
       bucket_insert(j);
     }
     row_cols[ip].clear();
+    row_pos[ip].clear();
   }
 
   step_of_row_.assign(m, 0);

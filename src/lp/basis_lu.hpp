@@ -11,10 +11,19 @@
 //
 // where L/U come from a Markowitz-ordered sparse Gaussian elimination
 // (pivots chosen to minimize (row_count-1)*(col_count-1) fill, subject to a
-// threshold |a_ij| >= tau * max|column|).  Solves walk only the stored
-// nonzeros; right-hand sides and results are carried as ScatteredVector
-// (dense values + the list of touched positions) so that clearing between
-// solves is O(nnz), not O(m).
+// threshold |a_ij| >= tau * max|column|).  The working matrix is held by
+// column with a row index that records each entry's position in its
+// column, so an elimination step detaches its pivot-row entry from every
+// crossing column in O(1).  A step whose L column is empty (a singleton
+// pivot column, e.g. a slack) changes no other value and does nothing
+// more; each column caches its max |value| with the number of entries
+// reaching it and rescans only when the last of them leaves.  A
+// cutting-plane master's basis is mostly slack singletons on cut rows that
+// cross the long TP and arc columns, so its refactorization stays linear in
+// the basis nonzeros instead of quadratic in the dimension.  Solves walk
+// only the stored nonzeros; right-hand sides and results are carried as
+// ScatteredVector (dense values + the list of touched positions) so that
+// clearing between solves is O(nnz), not O(m).
 //
 // Two update strategies are available (UpdateMode):
 //
@@ -127,13 +136,14 @@ class BasisLu {
   /// Collect per-call wall-clock in the stats (counters are always on).
   void set_collect_timing(bool collect) { collect_timing_ = collect; }
 
-  /// FTRAN/BTRAN call, reach and (optional) timing counters accumulated
-  /// since the last reset_stats(); only the kernel fields are filled.
+  /// Factorize/FTRAN/BTRAN call, reach and (optional) timing counters
+  /// accumulated since the last reset_stats(); only the kernel fields are
+  /// filled.
   const LpEngineStats& stats() const { return stats_; }
   void reset_stats() { stats_ = LpEngineStats{}; }
 
-  /// Factorize the m x m basis whose k-th column is `columns[k]`.  Discards
-  /// any pending updates.  Returns false if the basis is numerically
+  /// Factorize the m x m basis whose k-th column is `columns[k]` (rows
+  /// within a column distinct).  Discards any pending updates.  Returns false if the basis is numerically
   /// singular (the previous factorization is then invalid).
   bool factorize(std::size_t m, const std::vector<SparseColumnView>& columns);
 
@@ -215,6 +225,8 @@ class BasisLu {
   std::vector<RowEta> ft_etas_; ///< row-eta file (kForrestTomlin)
 
   bool forrest_tomlin_update(std::uint32_t leave_pos, const ScatteredVector& w);
+  /// factorize() without the call counter and timing.
+  bool factorize_basis(std::size_t m, const std::vector<SparseColumnView>& columns);
 
   /// Deduplicate a nonzero list and drop exact zeros, so callers can treat
   /// it as an exact support set (e.g. for delta updates of xb).
@@ -274,11 +286,19 @@ class BasisLu {
   // refactor costs no per-column allocations (the inner vectors keep their
   // capacity between calls).
   struct FactorWorkspace {
+    // Active submatrix by column; cslot[j][t] is the slot of entry
+    // (crows[j][t], j) in row_cols[crows[j][t]].
     std::vector<std::vector<std::uint32_t>> crows;
     std::vector<std::vector<double>> cvals;
+    std::vector<std::vector<std::uint32_t>> cslot;
+    // Row occupancy: row_cols[i][s] is a column holding row i (stale once
+    // that column is pivoted) and row_pos[i][s] the entry's position in it.
     std::vector<std::vector<std::uint32_t>> row_cols;
+    std::vector<std::vector<std::uint32_t>> row_pos;
     std::vector<std::uint32_t> row_count;
+    // Per column: max |value| and the number of entries reaching it.
     std::vector<double> colmax;
+    std::vector<std::uint32_t> colmax_count;
     std::vector<char> row_active, col_active;
     std::vector<std::int64_t> epos;
     std::vector<std::size_t> bucket_head, bnext, bprev, bkey;

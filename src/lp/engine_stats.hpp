@@ -2,10 +2,11 @@
 
 // Hypersparsity / pricing diagnostics of the sparse LP engine.
 //
-// BasisLu fills the FTRAN/BTRAN counters (calls, elimination steps actually
-// visited by the reach-set traversal vs the factor dimension, and optional
-// wall-clock when timing collection is on); SparseSimplexCore adds pivot and
-// refactorization counts plus the pricing mode it ran under.  The struct is
+// BasisLu fills the factorize/FTRAN/BTRAN counters (calls, elimination
+// steps actually visited by the reach-set traversal vs the factor
+// dimension, and optional wall-clock when timing collection is on);
+// SparseSimplexCore adds pivot and refactorization counts plus the pricing
+// mode it ran under.  The struct is
 // additive: accumulate() merges the stats of several solves or several
 // standing masters, which is how the SSB solvers aggregate their value +
 // stable masters into one SsbSolution::lp_stats record for BENCH_lp.json.
@@ -16,7 +17,9 @@
 namespace bt {
 
 struct LpEngineStats {
-  // ---- BasisLu solve kernels ----
+  // ---- BasisLu kernels ----
+  /// factorize() calls, including ones that found the basis singular.
+  std::uint64_t factorize_calls = 0;
   std::uint64_t ftran_calls = 0;
   std::uint64_t btran_calls = 0;
   /// Elimination steps processed across all FTRAN/BTRAN calls.  Under the
@@ -33,6 +36,7 @@ struct LpEngineStats {
   /// requested (SimplexOptions::collect_kernel_timing).
   std::uint64_t ftran_ns = 0;
   std::uint64_t btran_ns = 0;
+  std::uint64_t factorize_ns = 0;
 
   // ---- simplex layer ----
   std::uint64_t primal_pivots = 0;
@@ -72,8 +76,14 @@ struct LpEngineStats {
     return btran_calls == 0 ? 0.0
                             : static_cast<double>(btran_ns) / static_cast<double>(btran_calls);
   }
+  double factorize_ns_per_call() const {
+    return factorize_calls == 0
+               ? 0.0
+               : static_cast<double>(factorize_ns) / static_cast<double>(factorize_calls);
+  }
 
   void accumulate(const LpEngineStats& other) {
+    factorize_calls += other.factorize_calls;
     ftran_calls += other.ftran_calls;
     btran_calls += other.btran_calls;
     ftran_reach_steps += other.ftran_reach_steps;
@@ -82,6 +92,7 @@ struct LpEngineStats {
     btran_dim_steps += other.btran_dim_steps;
     ftran_ns += other.ftran_ns;
     btran_ns += other.btran_ns;
+    factorize_ns += other.factorize_ns;
     primal_pivots += other.primal_pivots;
     dual_pivots += other.dual_pivots;
     refactorizations += other.refactorizations;

@@ -1228,8 +1228,8 @@ class SparseSimplexCore {
   }
 
   // ---------- row append ----------
-  /// Fold the buffered append_row rows into the model: extend every
-  /// existing column, give each new row a basic slack (so an optimal
+  /// Fold the buffered append_row rows into the model: extend the touched
+  /// columns in place, give each new row a basic slack (so an optimal
   /// standing basis stays dual feasible), and refactorize once at the new
   /// dimension.  Rows appended before the first solve behave like built
   /// rows (negative right-hand sides get the usual flip + artificial).
@@ -1253,29 +1253,53 @@ class SparseSimplexCore {
       }
     }
 
-    // Per-column extras gathered from the pending rows.
-    std::vector<std::vector<std::pair<std::uint32_t, double>>> extra(cols_.num_cols());
-    for (std::size_t i = 0; i < k; ++i) {
-      const PendingRow& row = pending_rows_[i];
-      const std::uint32_t ri = static_cast<std::uint32_t>(old_m + i);
-      for (const LpTerm& t : row.terms) {
-        extra[col_of_structural_[t.var]].push_back({ri, row.flip * t.coeff});
-      }
-    }
-
-    // Rebuild the column arena with the extra entries appended per column.
+    // Grow the column arena in place: every column keeps its entries
+    // contiguous, old entries first and then the new rows' in append order.
+    // Columns shift back to front by the number of new entries before them,
+    // so the arena is moved once and nothing is reallocated per column.
     {
-      ColumnStore nc;
-      nc.rows.reserve(cols_.rows.size());
-      nc.vals.reserve(cols_.vals.size());
-      for (std::size_t j = 0; j < cols_.num_cols(); ++j) {
-        const std::uint32_t* rows = cols_.col_rows(j);
-        const double* vals = cols_.col_vals(j);
-        for (std::size_t s = 0; s < cols_.nnz(j); ++s) nc.push(rows[s], vals[s]);
-        for (const auto& entry : extra[j]) nc.push(entry.first, entry.second);
-        nc.end_column();
+      const std::size_t ncols = cols_.num_cols();
+      std::vector<std::size_t> grow(ncols, 0);
+      for (const PendingRow& row : pending_rows_) {
+        for (const LpTerm& t : row.terms) ++grow[col_of_structural_[t.var]];
       }
-      cols_ = std::move(nc);
+      std::size_t shift = 0;
+      for (std::size_t j = 0; j < ncols; ++j) shift += grow[j];
+      cols_.rows.resize(cols_.rows.size() + shift);
+      cols_.vals.resize(cols_.vals.size() + shift);
+      // `shift` is the count of new entries in columns 0..j, `end` column
+      // j's old end.
+      std::size_t end = cols_.start[ncols];
+      for (std::size_t j = ncols; j-- > 0;) {
+        const std::size_t begin = cols_.start[j];
+        cols_.start[j + 1] = end + shift;
+        shift -= grow[j];
+        if (shift == 0) break;  // columns 0..j stay where they are
+        std::copy_backward(cols_.rows.begin() + begin, cols_.rows.begin() + end,
+                           cols_.rows.begin() + end + shift);
+        std::copy_backward(cols_.vals.begin() + begin, cols_.vals.begin() + end,
+                           cols_.vals.begin() + end + shift);
+        end = begin;
+      }
+      // Append slot of each grown column, then the entries in row order.
+      for (std::size_t j = 0; j < ncols; ++j) grow[j] = cols_.start[j + 1] - grow[j];
+      row_entries_.resize(old_m + k);
+      for (std::size_t i = 0; i < k; ++i) {
+        const PendingRow& row = pending_rows_[i];
+        const std::uint32_t ri = static_cast<std::uint32_t>(old_m + i);
+        std::vector<LpTerm>& mirror = row_entries_[ri];
+        for (const LpTerm& t : row.terms) {
+          const std::size_t j = col_of_structural_[t.var];
+          const double v = row.flip * t.coeff;
+          cols_.rows[grow[j]] = ri;
+          cols_.vals[grow[j]] = v;
+          ++grow[j];
+          mirror.push_back({j, v});
+        }
+        // The row mirror lists a row's entries in column order.
+        std::sort(mirror.begin(), mirror.end(),
+                  [](const LpTerm& a, const LpTerm& b) { return a.var < b.var; });
+      }
     }
 
     for (std::size_t i = 0; i < k; ++i) {
@@ -1294,14 +1318,17 @@ class SparseSimplexCore {
         // slack keeps the standing basis and its duals valid.
         BT_ASSERT(sense == RowSense::kLessEqual, "merge_pending_rows: bad orientation");
         const std::size_t slack = add_unit_column(ri, +1.0, ColKind::kSlack);
+        row_entries_[ri].push_back({slack, +1.0});
         slack_col_of_row_.push_back(slack);
         basis_.push_back(slack);
         initial_basis_col_.push_back(slack);
       } else {
         // Pre-solve >= row with non-negative rhs: surplus non-basic,
         // artificial basic; the coming phase 1 clears it.
-        add_unit_column(ri, -1.0, ColKind::kSurplus);
+        const std::size_t surplus = add_unit_column(ri, -1.0, ColKind::kSurplus);
         const std::size_t art = add_unit_column(ri, +1.0, ColKind::kArtificial);
+        row_entries_[ri].push_back({surplus, -1.0});
+        row_entries_[ri].push_back({art, +1.0});
         slack_col_of_row_.push_back(kNpos);
         basis_.push_back(art);
         initial_basis_col_.push_back(art);
@@ -1315,7 +1342,6 @@ class SparseSimplexCore {
     num_rows_ += k;
     num_orig_rows_ += k;
     pending_rows_.clear();
-    rebuild_row_entries();
     // Dimension change: the weight frameworks no longer match the model.
     primal_weight_reset_pending_ = true;
     dual_weight_reset_pending_ = true;

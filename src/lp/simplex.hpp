@@ -92,8 +92,8 @@ struct SimplexOptions {
   /// its reference framework on every refactorization as a drift safeguard.
   PricingRule pricing = PricingRule::kDevex;
   DualRowRule dual_row_rule = DualRowRule::kSteepestEdge;
-  /// Collect per-call FTRAN/BTRAN wall-clock into the engine stats (the
-  /// structural reach counters are always collected).
+  /// Collect per-call factorize/FTRAN/BTRAN wall-clock into the engine
+  /// stats (call and structural reach counters are always collected).
   bool collect_kernel_timing = false;
   /// When set, solve_lp() accumulates the solve's LpEngineStats here
   /// (sparse engine only; the dense reference engine records nothing).

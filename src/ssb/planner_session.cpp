@@ -469,7 +469,9 @@ void PlannerSession::run_cutting_solve() {
         // Numerical breakdown of the standing master (drifted basis the
         // engine could not repair): the pool fully determines the model,
         // so rebuild it cold and continue incrementally from there.  Fold
-        // the replaced instance's lifetime stats in first.
+        // the replaced instance's lifetime stats and the failed solve's
+        // pivots in first, so the pivot budget sees them.
+        solution.lp_iterations += value_sol.iterations;
         solution.lp_stats.accumulate(value_master_->engine_stats());
         ++stats_.master_rebuilds;
         value_master_ = std::make_unique<IncrementalSimplex>(
@@ -525,8 +527,10 @@ void PlannerSession::run_cutting_solve() {
           // pool.  The stable master's rows must stay one past the value
           // master's for the kill-and-replace deltas, and the value master
           // may carry append-order cut rows a pool rebuild would not
-          // reproduce -- so the pair is rebuilt together (stats folded in
-          // first; the value master re-solves cold next round).
+          // reproduce -- so the pair is rebuilt together (stats and the
+          // failed solve's pivots folded in first; the value master
+          // re-solves cold next round).
+          solution.lp_iterations += stable_sol.iterations;
           solution.lp_stats.accumulate(stable_master_->engine_stats());
           solution.lp_stats.accumulate(value_master_->engine_stats());
           ++stats_.master_rebuilds;

@@ -38,8 +38,9 @@ struct SsbSolveOptions {
   PricingRule master_pricing = PricingRule::kDevex;
   DualRowRule master_dual_row_rule = DualRowRule::kSteepestEdge;
   BasisLu::SolveMode master_solve_mode = BasisLu::SolveMode::kReachSet;
-  /// Also collect per-call FTRAN/BTRAN wall-clock into
-  /// SsbSolution::lp_stats (the reach counters are always collected).
+  /// Also collect per-call factorize/FTRAN/BTRAN wall-clock into
+  /// SsbSolution::lp_stats (the call and reach counters are always
+  /// collected).
   bool master_kernel_timing = false;
   /// Worker pool for the parallel oracle phases (per-destination max-flow
   /// separation, pricing/column rebuild).  nullptr means the process-wide

@@ -1,12 +1,16 @@
 // Tests for the sparse LU simplex engine (basis_lu.hpp + simplex.cpp):
 // randomized cross-validation against the exact rational simplex and the
 // dense reference engine, warm-start invariance, a degenerate/cycling
-// regression that exercises the eta-update + refactorization path, and the
-// incremental (append-column) API used by the column-generation master.
+// regression that exercises the eta-update + refactorization path, a
+// cutting-plane-shaped basis solved against dense references through
+// Forrest-Tomlin updates, and the incremental (append-column and batched
+// append-row) API used by the column-generation and cutting-plane masters.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "lp/exact_simplex.hpp"
@@ -628,6 +632,241 @@ TEST(BasisLuReach, FullSweepCountsTheWholeDimensionAndMatchesReachValues) {
   EXPECT_EQ(sweep.stats().btran_reach_steps, sweep.stats().btran_calls * m);
   EXPECT_LE(reach.stats().ftran_reach_steps, sweep.stats().ftran_reach_steps);
   EXPECT_LE(reach.stats().btran_reach_steps, sweep.stats().btran_reach_steps);
+}
+
+namespace cut_basis_test {
+
+/// Dense m x m matrix, column-major: a[k][i] is row i of column k.
+using Dense = std::vector<std::vector<double>>;
+
+/// Solve M z = rhs by Gaussian elimination with partial pivoting, where
+/// M = B (transpose = false) or B^T (transpose = true).
+std::vector<double> dense_solve(const Dense& b, std::vector<double> rhs, bool transpose) {
+  const std::size_t m = b.size();
+  std::vector<std::vector<double>> a(m, std::vector<double>(m));
+  for (std::size_t k = 0; k < m; ++k) {
+    for (std::size_t i = 0; i < m; ++i) {
+      if (transpose) a[k][i] = b[k][i];  // row k of B^T is column k of B
+      else a[i][k] = b[k][i];
+    }
+  }
+  for (std::size_t c = 0; c < m; ++c) {
+    std::size_t p = c;
+    for (std::size_t r = c + 1; r < m; ++r) {
+      if (std::abs(a[r][c]) > std::abs(a[p][c])) p = r;
+    }
+    std::swap(a[p], a[c]);
+    std::swap(rhs[p], rhs[c]);
+    for (std::size_t r = c + 1; r < m; ++r) {
+      const double f = a[r][c] / a[c][c];
+      if (f == 0.0) continue;
+      for (std::size_t k = c; k < m; ++k) a[r][k] -= f * a[c][k];
+      rhs[r] -= f * rhs[c];
+    }
+  }
+  for (std::size_t c = m; c-- > 0;) {
+    for (std::size_t k = c + 1; k < m; ++k) rhs[c] -= a[c][k] * rhs[k];
+    rhs[c] /= a[c][c];
+  }
+  return rhs;
+}
+
+/// Random FTRAN (row-space rhs) and BTRAN (position-space rhs) probes of
+/// `lu` against dense solves of the basis `b`.
+void expect_solves_match_dense(BasisLu& lu, const Dense& b, Rng& rng, const std::string& when) {
+  const std::size_t m = b.size();
+  ScatteredVector x;
+  for (int probe = 0; probe < 8; ++probe) {
+    const bool do_btran = probe % 2 == 1;
+    std::vector<double> rhs(m, 0.0);
+    x.reset(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      if (probe < 4 ? rng.bernoulli(0.1) : true) {
+        rhs[i] = rng.uniform_real(-2.0, 2.0);
+        x.push(static_cast<std::uint32_t>(i), rhs[i]);
+      }
+    }
+    const std::vector<double> ref = dense_solve(b, rhs, do_btran);
+    if (do_btran) lu.btran(x);
+    else lu.ftran(x);
+    for (std::size_t i = 0; i < m; ++i) {
+      EXPECT_NEAR(x.value[i], ref[i], 1e-12 * std::max(1.0, std::abs(ref[i])))
+          << when << ", probe " << probe << ", index " << i;
+    }
+  }
+}
+
+}  // namespace cut_basis_test
+
+TEST(BasisLuReach, CutStructuredBasisMatchesDenseSolvesThroughUpdates) {
+  // The shape of a cutting-plane master's basis: a TP-like column crossing
+  // every row, arc columns with +-1 cut coefficients, and slack singletons
+  // on most rows -- so most elimination steps detach a pivot-row entry
+  // from crossing columns without touching the rest of them.  Special
+  // columns pin the cached column maxima: one whose unique max sits on a
+  // slack row (detached first), one whose max 2 is shared by several
+  // entries, and two that agree on two kernel rows, so eliminating one
+  // from the other cancels an entry to exactly 0.
+  using cut_basis_test::Dense;
+  const std::size_t m = 48;
+  const std::size_t kernel = 12;  // rows [0, kernel) carry no slack
+  Rng rng(0xC075);
+  Dense b;
+  auto add = [&](const std::vector<std::pair<std::uint32_t, double>>& entries) {
+    b.emplace_back(m, 0.0);
+    for (const auto& [row, value] : entries) b.back()[row] = value;
+  };
+  {
+    std::vector<std::pair<std::uint32_t, double>> tp;
+    for (std::uint32_t i = 0; i < m; ++i) tp.push_back({i, i == 0 ? 0.5 : 1.0});
+    add(tp);
+  }
+  add({{1, 1.0}, {2, 1.0}, {m - 1, -1.0}});                       // cancels with the next
+  add({{1, 1.0}, {2, 1.0}, {3, -1.0}, {m - 2, 1.0}});
+  add({{2, -1.0}, {3, 1.0}, {4, -1.0}, {kernel + 2, 4.0}, {kernel + 5, -1.0}});  // unique max
+  add({{4, 2.0}, {5, -2.0}, {kernel + 3, 2.0}, {kernel + 7, 2.0}, {kernel + 9, -1.0}});  // shared max
+  for (std::uint32_t k = 5; k < kernel; ++k) {
+    std::vector<std::pair<std::uint32_t, double>> arc{{k, -1.0}};
+    if (k + 1 < kernel) arc.push_back({k + 1, 1.0});
+    for (std::uint32_t i = kernel; i < m; ++i) {
+      if (rng.bernoulli(0.3)) arc.push_back({i, -1.0});
+    }
+    add(arc);
+  }
+  for (std::uint32_t i = kernel; i < m; ++i) add({{i, 1.0}});
+  ASSERT_EQ(b.size(), m);
+
+  // Views over the dense columns' nonzeros, TP-like column last in the
+  // arena so positions and columns do not coincide trivially.
+  std::vector<std::vector<std::uint32_t>> rows(m);
+  std::vector<std::vector<double>> vals(m);
+  auto load = [&](std::size_t k) {
+    rows[k].clear();
+    vals[k].clear();
+    for (std::uint32_t i = 0; i < m; ++i) {
+      if (b[k][i] != 0.0) {
+        rows[k].push_back(i);
+        vals[k].push_back(b[k][i]);
+      }
+    }
+  };
+  auto views = [&]() {
+    std::vector<SparseColumnView> out(m);
+    for (std::size_t k = 0; k < m; ++k) {
+      out[k] = SparseColumnView{rows[k].data(), vals[k].data(), rows[k].size()};
+    }
+    return out;
+  };
+  for (std::size_t k = 0; k < m; ++k) load(k);
+
+  BasisLu lu;
+  ASSERT_TRUE(lu.factorize(m, views()));
+  cut_basis_test::expect_solves_match_dense(lu, b, rng, "fresh factorization");
+
+  // 64 Forrest-Tomlin updates with cut-shaped entering columns, each
+  // leaving at its largest pivot (which keeps the basis well conditioned).
+  ScatteredVector w;
+  std::size_t updates = 0;
+  for (int attempt = 0; attempt < 512 && updates < 64; ++attempt) {
+    std::vector<double> column(m, 0.0);
+    column[rng.index(m)] = 1.0;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (rng.bernoulli(0.15)) column[i] = rng.bernoulli(0.5) ? 1.0 : -1.0;
+    }
+    w.reset(m);
+    for (std::uint32_t i = 0; i < m; ++i) {
+      if (column[i] != 0.0) w.push(i, column[i]);
+    }
+    lu.ftran(w);
+    std::size_t leave = 0;
+    for (std::size_t k = 1; k < m; ++k) {
+      if (std::abs(w.value[k]) > std::abs(w.value[leave])) leave = k;
+    }
+    if (std::abs(w.value[leave]) < 1.0) continue;
+    ASSERT_TRUE(lu.update(leave, w)) << "update " << updates;
+    b[leave] = column;
+    ++updates;
+  }
+  ASSERT_EQ(updates, 64u);
+  ASSERT_EQ(lu.update_count(), 64u);
+  cut_basis_test::expect_solves_match_dense(lu, b, rng, "after 64 updates");
+
+  // And a refactorization of the updated basis agrees again.
+  for (std::size_t k = 0; k < m; ++k) load(k);
+  ASSERT_TRUE(lu.factorize(m, views()));
+  cut_basis_test::expect_solves_match_dense(lu, b, rng, "refactorized");
+}
+
+TEST(IncrementalSimplex, RowBatchesWithRhsChangesMatchTheFullSolve) {
+  // The cutting-plane pattern: rows appended in batches (cut rows
+  // TP - sum n_e <= 0 and their >= mirror images), a right-hand side
+  // re-ranged between batches, and one column added midway so appended
+  // rows also reach a structural column that sits after slack columns.
+  // After every batch the warm re-solve must match a cold solve of the
+  // full problem.
+  Rng rng(0xBA7C);
+  const std::size_t arcs = 14;
+  struct Row {
+    std::vector<LpTerm> terms;
+    RowSense sense;
+    double rhs;
+  };
+  std::vector<double> objective(arcs + 1, 0.0);
+  objective[0] = 1.0;  // maximize TP (variable 0)
+  std::vector<Row> model;
+  {
+    std::vector<LpTerm> capacity;
+    for (std::size_t e = 1; e <= arcs; ++e) capacity.push_back({e, rng.uniform_real(0.5, 2.0)});
+    model.push_back({capacity, RowSense::kLessEqual, 4.0});
+  }
+  auto cut_row = [&](std::size_t vars) {
+    std::vector<LpTerm> terms;
+    for (std::size_t e = vars; e-- > 1;) {  // descending variable order
+      if (rng.bernoulli(0.3)) terms.push_back({e, -1.0});
+    }
+    terms.push_back({0, 1.0});
+    return terms;
+  };
+  for (int i = 0; i < 3; ++i) model.push_back({cut_row(objective.size()), RowSense::kLessEqual, 0.0});
+
+  auto build_full = [&]() {
+    LpProblem lp(Objective::kMaximize);
+    for (const double c : objective) lp.add_variable(c);
+    for (const Row& row : model) lp.add_constraint(row.terms, row.sense, row.rhs);
+    return lp;
+  };
+  IncrementalSimplex engine(build_full());
+  ASSERT_EQ(engine.solve().status, LpStatus::kOptimal);
+
+  for (int batch = 0; batch < 10; ++batch) {
+    if (batch == 5) {
+      // A new arc column on the capacity row, as column generation adds.
+      objective.push_back(0.0);
+      const double weight = rng.uniform_real(0.5, 2.0);
+      engine.add_column(0.0, {{0, weight}});
+      model[0].terms.push_back({objective.size() - 1, weight});
+    }
+    const int rows_in_batch = 1 + batch % 4;
+    for (int r = 0; r < rows_in_batch; ++r) {
+      std::vector<LpTerm> terms = cut_row(objective.size());
+      RowSense sense = RowSense::kLessEqual;
+      if (r % 2 == 1) {  // the same cut written as -TP + sum n_e >= 0
+        for (LpTerm& t : terms) t.coeff = -t.coeff;
+        sense = RowSense::kGreaterEqual;
+      }
+      engine.append_row(terms, sense, 0.0);
+      model.push_back({terms, sense, 0.0});
+    }
+    model[0].rhs = rng.uniform_real(2.0, 6.0);
+    engine.set_row_rhs(0, model[0].rhs);
+    const LpSolution warm = engine.reoptimize_dual();
+    const LpSolution cold = solve_lp(build_full());
+    ASSERT_EQ(warm.status, LpStatus::kOptimal) << "batch " << batch;
+    ASSERT_EQ(cold.status, LpStatus::kOptimal) << "batch " << batch;
+    EXPECT_NEAR(warm.objective, cold.objective, 1e-9 * std::max(1.0, std::abs(cold.objective)))
+        << "batch " << batch;
+    EXPECT_EQ(engine.num_rows(), model.size());
+  }
 }
 
 TEST(IncrementalSimplex, RejectsBadInput) {

@@ -3,8 +3,9 @@
 // guarantee that warm delta re-plans agree with cold solves to <= 1e-9
 // relative throughput, the error-rollback contract, the schedule /
 // packing-pool caching, the separation and decomposition memos (re-plans
-// answer bitwise what the layers' free functions answer), and the bound on
-// the standing masters' growth under long mutation streams.
+// answer bitwise what the layers' free functions answer), the bound on the
+// standing masters' growth under long mutation streams, and the pivot count
+// of a solve whose standing master broke down and was rebuilt.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include "ssb/ssb_column_generation.hpp"
 #include "ssb/ssb_cutting_plane.hpp"
 #include "util/error.hpp"
+#include "util/fault_injection.hpp"
 #include "util/rng.hpp"
 
 namespace bt {
@@ -390,6 +392,51 @@ TEST(PlannerSession, StandingMastersStayBoundedUnderLongMutationStreams) {
   EXPECT_GT(session.stats().compactions, 0u);
   EXPECT_GT(session.stats().columns_updated, session.stats().kill_rows);
   EXPECT_LE(rel_diff(session.solve().throughput, session.solve_cold().throughput), 1e-9);
+}
+
+/// First solve of a fresh session with one simplex phase forced to stall
+/// at its `stall_at`-th phase entry (a standing-master breakdown).
+struct StalledSolve {
+  std::uint64_t rebuilds = 0;
+  std::size_t lp_iterations = 0;
+  std::uint64_t primal_pivots = 0;
+  std::uint64_t dual_pivots = 0;
+};
+
+StalledSolve solve_with_stall(const Platform& p, std::uint64_t stall_at) {
+  FaultPlan plan;
+  plan.add(FaultSite::kSimplexStall, stall_at);
+  FaultInjector faults(plan);
+  PlannerSession session(p);
+  const FaultScope scope(&faults);
+  const SsbSolution& s = session.solve();
+  return {session.stats().master_rebuilds, s.lp_iterations, s.lp_stats.primal_pivots,
+          s.lp_stats.dual_pivots};
+}
+
+TEST(PlannerSession, RebuiltMasterSolveCountsTheFailedSolvesPivots) {
+  // Stalling the primal phase that follows a master's dual phase breaks
+  // that solve down after its dual pivots; stalling the dual phase itself
+  // breaks the same solve down before any pivot.  Either way the masters
+  // are rebuilt from the same pool, so the two runs do identical work from
+  // there on and differ only by the failed solve's dual pivots -- which
+  // lp_iterations (what the ladder's pivot budget reads) must count.
+  const Platform p = random_platform(12, 7);
+  bool found = false;
+  for (std::uint64_t k = 1; k < 24 && !found; ++k) {
+    const StalledSolve after_dual = solve_with_stall(p, k);
+    const StalledSolve before_dual = solve_with_stall(p, k - 1);
+    if (after_dual.rebuilds != 1 || before_dual.rebuilds != 1 ||
+        after_dual.primal_pivots != before_dual.primal_pivots ||
+        after_dual.dual_pivots <= before_dual.dual_pivots) {
+      continue;
+    }
+    found = true;
+    const std::uint64_t failed_pivots = after_dual.dual_pivots - before_dual.dual_pivots;
+    EXPECT_GE(after_dual.lp_iterations, before_dual.lp_iterations + failed_pivots)
+        << "stall at phase entry " << k;
+  }
+  EXPECT_TRUE(found) << "no stall point broke a master down after a partial solve";
 }
 
 }  // namespace
