@@ -686,9 +686,10 @@ bool BasisLu::btran_reach(ScatteredVector& x) {
     for (std::size_t t = 0; t < ls.size(); ++t) work_[ls[t]] -= lv[t] * vk;
   }
 
-  // Scatter to row space in ascending step order; restore the invariant.
-  std::sort(reach_.begin(), reach_.end());
-  for (const std::uint32_t k : reach_) {
+  // Scatter to row space in ascending step order -- the descending closure
+  // read backwards, no third sort -- and restore the invariant.
+  for (auto it = reach_.rbegin(); it != reach_.rend(); ++it) {
+    const std::uint32_t k = *it;
     if (work_[k] != 0.0) x.push(pivot_row_[k], work_[k]);
     work_[k] = 0.0;
     reach_flag_[k] = 0;

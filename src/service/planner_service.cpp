@@ -1,5 +1,6 @@
 #include "service/planner_service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -12,9 +13,7 @@ namespace bt {
 PlannerService::PlannerService(Platform platform, PlannerServiceOptions options)
     : platform_(std::move(platform)),
       removed_(platform_.num_edges(), 0),
-      options_(options),
-      plan_cache_(options.plan_cache_capacity),
-      schedule_cache_(options.schedule_cache_capacity) {
+      options_(options) {
   BT_REQUIRE(options_.max_sessions > 0, "PlannerService: max_sessions must be positive");
   BT_REQUIRE(options_.replan_queue_capacity > 0,
              "PlannerService: replan_queue_capacity must be positive");
@@ -76,11 +75,32 @@ void PlannerService::note_tier_locked(PlanTier tier) {
   }
 }
 
+template <typename T>
+std::shared_ptr<const T> PlannerService::fresh(NodeId source, Published<T> Snapshot::*half,
+                                               std::uint64_t& hits) {
+  std::lock_guard<std::mutex> lock(snapshot_mutex_);
+  const auto it = published_.find(source);
+  if (it == published_.end()) return nullptr;
+  const Published<T>& published = it->second.*half;
+  // Async readers take any last-good answer; sync readers only one built
+  // at the current version.
+  if (!published.value || (!options_.async_replan && published.version != version())) {
+    return nullptr;
+  }
+  ++hits;
+  return published.value;
+}
+
+void PlannerService::publish_locked(NodeId source, std::shared_ptr<const SsbSolution> plan,
+                                    std::shared_ptr<const PeriodicSchedule> schedule) {
+  std::lock_guard<std::mutex> lock(snapshot_mutex_);
+  Snapshot& snap = published_[source];
+  if (plan) snap.plan = {version_, std::move(plan)};
+  if (schedule) snap.schedule = {version_, std::move(schedule)};
+}
+
 std::shared_ptr<const SsbSolution> PlannerService::plan_locked(NodeId source,
                                                                const LadderOptions& ladder) {
-  // Re-check under the exclusive lock: another writer may have solved this
-  // (source, version) while we waited to escalate.
-  if (auto hit = plan_cache_.get({source, version_})) return *hit;
   FaultScope scope(options_.faults);
   // Injected mid-stream eviction: the warm session vanishes just before the
   // solve, so the answer comes from a cold rebuild (still kExact -- the
@@ -90,14 +110,11 @@ std::shared_ptr<const SsbSolution> PlannerService::plan_locked(NodeId source,
   auto solution = std::make_shared<const SsbSolution>(session.solve_laddered(ladder));
   ++solves_;
   note_tier_locked(solution->tier);
-  plan_cache_.put({source, version_}, solution);
   return solution;
 }
 
 std::shared_ptr<const PeriodicSchedule> PlannerService::schedule_locked(
     NodeId source, const LadderOptions& ladder) {
-  const PortModel port_model = options_.session.cutting.port_model;
-  if (auto hit = schedule_cache_.get({source, port_model, version_})) return *hit;
   FaultScope scope(options_.faults);
   PlannerSession& session = session_locked(source);
   std::shared_ptr<const PeriodicSchedule> schedule;
@@ -112,95 +129,46 @@ std::shared_ptr<const PeriodicSchedule> PlannerService::schedule_locked(
     schedule = session.schedule();
   }
   ++schedules_built_;
-  schedule_cache_.put({source, port_model, version_}, schedule);
-  schedule_built_[source] = version_;
   return schedule;
-}
-
-void PlannerService::publish_locked(NodeId source, std::shared_ptr<const SsbSolution> plan,
-                                    std::shared_ptr<const PeriodicSchedule> schedule) {
-  std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  Snapshot& snap = published_[source];
-  snap.version = version_;
-  snap.plan = std::move(plan);
-  snap.schedule = std::move(schedule);
 }
 
 double PlannerService::throughput(NodeId source) { return plan(source)->throughput; }
 
 std::shared_ptr<const SsbSolution> PlannerService::plan(NodeId source) {
   queries_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.async_replan) {
-    {
-      std::lock_guard<std::mutex> lock(snapshot_mutex_);
-      const auto it = published_.find(source);
-      if (it != published_.end()) return it->second.plan;
-    }
-    // First request for this source: solve synchronously (there is no
-    // last-good yet) and publish, so later reads and polls are O(1).
-    WriteGuard lock(guard_);
-    auto plan = plan_locked(source, options_.ladder);
-    auto schedule = schedule_locked(source, options_.ladder);
-    publish_locked(source, plan, schedule);
-    return plan;
-  }
-  {
-    ReadGuard lock(guard_);
-    if (auto hit = plan_cache_.get({source, version_})) return *hit;
-  }
-  WriteGuard lock(guard_);
-  return plan_locked(source, options_.ladder);
+  if (auto hit = fresh(source, &Snapshot::plan, plan_hits_)) return hit;
+  std::lock_guard<std::mutex> lock(writer_mutex_);
+  // Re-check: another writer may have published while this one waited.
+  if (auto hit = fresh(source, &Snapshot::plan, plan_hits_)) return hit;
+  auto plan = plan_locked(source, options_.ladder);
+  publish_locked(source, plan, nullptr);
+  return plan;
 }
 
 std::shared_ptr<const PeriodicSchedule> PlannerService::schedule(NodeId source) {
   queries_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.async_replan) {
-    {
-      std::lock_guard<std::mutex> lock(snapshot_mutex_);
-      const auto it = published_.find(source);
-      if (it != published_.end()) return it->second.schedule;
-    }
-    WriteGuard lock(guard_);
-    auto plan = plan_locked(source, options_.ladder);
-    auto schedule = schedule_locked(source, options_.ladder);
-    publish_locked(source, plan, schedule);
-    return schedule;
-  }
-  {
-    ReadGuard lock(guard_);
-    const PortModel port_model = options_.session.cutting.port_model;
-    if (auto hit = schedule_cache_.get({source, port_model, version_})) return *hit;
-  }
-  WriteGuard lock(guard_);
-  return schedule_locked(source, options_.ladder);
+  if (auto hit = fresh(source, &Snapshot::schedule, schedule_hits_)) return hit;
+  std::lock_guard<std::mutex> lock(writer_mutex_);
+  if (auto hit = fresh(source, &Snapshot::schedule, schedule_hits_)) return hit;
+  auto schedule = schedule_locked(source, options_.ladder);
+  publish_locked(source, nullptr, schedule);
+  return schedule;
 }
 
 std::shared_ptr<const PeriodicSchedule> PlannerService::poll_schedule(ScheduleSubscription& sub) {
-  if (options_.async_replan) {
-    // Snapshot lock only: a poll at a period boundary must not block on the
-    // worker's write-guarded solve -- that wait is exactly the staleness
-    // the async mode exists to hide.
-    std::lock_guard<std::mutex> lock(snapshot_mutex_);
-    const auto it = published_.find(sub.source);
-    if (it == published_.end()) return nullptr;
-    if (sub.seen_version != ScheduleSubscription::kNone &&
-        it->second.version <= sub.seen_version) {
-      return nullptr;
-    }
-    sub.seen_version = it->second.version;
-    return it->second.schedule;
-  }
-  ReadGuard lock(guard_);
-  const auto it = schedule_built_.find(sub.source);
-  if (it == schedule_built_.end()) return nullptr;
-  const std::uint64_t built = it->second;
-  if (sub.seen_version != ScheduleSubscription::kNone && built <= sub.seen_version)
+  // Snapshot lock only: a poll at a period boundary must not block on a
+  // writer's solve -- that wait is exactly the staleness the async mode
+  // exists to hide.
+  std::lock_guard<std::mutex> lock(snapshot_mutex_);
+  const auto it = published_.find(sub.source);
+  if (it == published_.end()) return nullptr;
+  const Published<PeriodicSchedule>& built = it->second.schedule;
+  if (!built.value) return nullptr;
+  if (sub.seen_version != ScheduleSubscription::kNone && built.version <= sub.seen_version) {
     return nullptr;
-  const PortModel port_model = options_.session.cutting.port_model;
-  auto hit = schedule_cache_.get({sub.source, port_model, built});
-  if (!hit) return nullptr;  // LRU-evicted since it was built
-  sub.seen_version = built;
-  return *hit;
+  }
+  sub.seen_version = built.version;
+  return built.value;
 }
 
 // ---- async worker -----------------------------------------------------------
@@ -218,23 +186,19 @@ void PlannerService::enqueue_replans() {
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     for (NodeId source : targets) {
-      bool coalesced = false;
-      for (ReplanJob& job : queue_) {
-        if (job.source == source) {
-          // A queued job for this source is superseded: lift it to the new
-          // version instead of queueing a second solve of a stale state.
-          job.version = version_;
-          coalesced = true;
-          replans_coalesced_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
+      // A job already queued for this source solves the new state too (the
+      // worker reads the state at pickup): fold into it, keeping its stamp.
+      const bool coalesced = std::any_of(queue_.begin(), queue_.end(),
+                                         [&](const ReplanJob& job) { return job.source == source; });
+      if (coalesced) {
+        replans_coalesced_.fetch_add(1, std::memory_order_relaxed);
+        continue;
       }
-      if (coalesced) continue;
       if (queue_.size() >= options_.replan_queue_capacity) {
         queue_.pop_front();
         replans_dropped_.fetch_add(1, std::memory_order_relaxed);
       }
-      queue_.push_back({source, version_});
+      queue_.push_back({source, Timer{}});
       replans_enqueued_.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -257,13 +221,12 @@ void PlannerService::worker_loop() {
   }
 }
 
-void PlannerService::run_replan(ReplanJob job) {
-  Timer latency;
+void PlannerService::run_replan(const ReplanJob& job) {
   for (std::size_t attempt = 0;; ++attempt) {
     try {
-      WriteGuard lock(guard_);
-      // The solve always runs against the *current* state -- job.version is
-      // a floor, not a pin; coalescing means the newest mutation wins.
+      std::lock_guard<std::mutex> lock(writer_mutex_);
+      // The solve always runs against the *current* state: coalescing
+      // means the newest mutation wins.
       LadderOptions ladder = options_.ladder;
       // Retries exist to recover the LP optimum from a transient fault;
       // only the final attempt is allowed to degrade to the heuristic.
@@ -274,7 +237,7 @@ void PlannerService::run_replan(ReplanJob job) {
       replans_run_.fetch_add(1, std::memory_order_relaxed);
       {
         std::lock_guard<std::mutex> latency_lock(queue_mutex_);
-        replan_latencies_.push_back(latency.millis());
+        replan_latencies_.push_back(job.queued.millis());
       }
       return;
     } catch (const Error&) {
@@ -327,7 +290,7 @@ std::vector<double> PlannerService::take_replan_latencies() {
 
 void PlannerService::set_link_cost(EdgeId e, LinkCost cost) {
   {
-    WriteGuard lock(guard_);
+    std::lock_guard<std::mutex> lock(writer_mutex_);
     BT_REQUIRE(e < platform_.num_edges(), "PlannerService: edge out of range");
     platform_.set_link_cost(e, cost);
     removed_[e] = 0;
@@ -340,7 +303,7 @@ void PlannerService::set_link_cost(EdgeId e, LinkCost cost) {
 
 void PlannerService::scale_link_time(EdgeId e, double factor) {
   {
-    WriteGuard lock(guard_);
+    std::lock_guard<std::mutex> lock(writer_mutex_);
     BT_REQUIRE(e < platform_.num_edges(), "PlannerService: edge out of range");
     LinkCost cost = platform_.link_cost(e);
     cost.alpha *= factor;
@@ -356,7 +319,7 @@ void PlannerService::scale_link_time(EdgeId e, double factor) {
 
 void PlannerService::remove_link(EdgeId e) {
   {
-    WriteGuard lock(guard_);
+    std::lock_guard<std::mutex> lock(writer_mutex_);
     BT_REQUIRE(e < platform_.num_edges(), "PlannerService: edge out of range");
     removed_[e] = 1;
     for (auto& entry : sessions_) entry.second->remove_link(e);
@@ -370,7 +333,7 @@ NodeId PlannerService::add_node(const std::vector<SessionLink>& in_links,
                                 const std::vector<SessionLink>& out_links) {
   NodeId node;
   {
-    WriteGuard lock(guard_);
+    std::lock_guard<std::mutex> lock(writer_mutex_);
     platform_ = grow_platform(platform_, in_links, out_links);
     removed_.resize(platform_.num_edges(), 0);
     for (auto& entry : sessions_) entry.second->add_node(in_links, out_links);
@@ -383,7 +346,7 @@ NodeId PlannerService::add_node(const std::vector<SessionLink>& in_links,
 }
 
 void PlannerService::remove_node(NodeId node, ShrinkRemap* remap) {
-  WriteGuard lock(guard_);
+  std::lock_guard<std::mutex> lock(writer_mutex_);
   ShrinkRemap local;
   // Validates node != source and >= 3 nodes; throws (via the Platform
   // constructor) if the leave disconnects the remaining platform.
@@ -401,7 +364,6 @@ void PlannerService::remove_node(NodeId node, ShrinkRemap* remap) {
   // platform (consumers re-subscribe through the remap).
   sessions_evicted_ += sessions_.size();
   sessions_.clear();
-  schedule_built_.clear();
   {
     std::lock_guard<std::mutex> snapshot_lock(snapshot_mutex_);
     published_.clear();
@@ -418,16 +380,19 @@ void PlannerService::remove_node(NodeId node, ShrinkRemap* remap) {
 // ---- introspection ----------------------------------------------------------
 
 Platform PlannerService::platform_snapshot() {
-  ReadGuard lock(guard_);
+  std::lock_guard<std::mutex> lock(writer_mutex_);
   return platform_;
 }
 
 PlannerServiceStats PlannerService::stats() {
-  WriteGuard lock(guard_);
+  std::lock_guard<std::mutex> lock(writer_mutex_);
   PlannerServiceStats out;
   out.queries = queries_.load(std::memory_order_relaxed);
-  out.plan_cache_hits = plan_cache_.hits();
-  out.schedule_cache_hits = schedule_cache_.hits();
+  {
+    std::lock_guard<std::mutex> snapshot_lock(snapshot_mutex_);
+    out.plan_cache_hits = plan_hits_;
+    out.schedule_cache_hits = schedule_hits_;
+  }
   out.solves = solves_;
   out.schedules_built = schedules_built_;
   out.mutations = mutations_;

@@ -23,13 +23,20 @@
 //    cold_polish = false -- the service trades the batch path's bitwise
 //    pool-determinism for warm-re-plan latency; agreement with a cold solve
 //    stays within 1e-9 relative (see planner_session.hpp).
-//  * LRU caches of plans and synthesized schedules keyed by (source,
-//    service version), so steady-state read traffic doesn't even touch the
-//    sessions.
-//  * A many-readers / one-writer guard (util/parallel_read_serial_write.hpp):
-//    queries share the service; mutations serialize, apply their delta to
-//    the base platform and every warm session, and bump the version (which
-//    retires all cached plans/schedules at once).
+//  * One published Snapshot per source: the newest plan and the newest
+//    schedule, each stamped with the service version it was built at.
+//    Reads copy a shared_ptr out of it under a leaf mutex and never touch
+//    the sessions.  A read takes the published half when it is fresh
+//    enough -- sync mode: built at the current version(); async mode: any
+//    last-good answer -- and otherwise takes the writer mutex, re-checks,
+//    solves or synthesizes, and publishes.  The halves keep their own
+//    versions: a plan() publishes only its plan and leaves the older
+//    schedule for poll_schedule to hand out; an async re-plan publishes
+//    both together.
+//  * One writer mutex: solves, synthesis and mutations serialize.  A
+//    mutation applies its delta to the base platform and every warm
+//    session and bumps the version, which makes every published half
+//    stale for sync readers at once.
 //
 // Degradation ladder: every solve the service runs goes through
 // PlannerSession::solve_laddered under Options::ladder, so a recoverable
@@ -43,20 +50,19 @@
 //
 // Async re-planning (Options::async_replan): mutations enqueue
 // version-stamped re-plan jobs on a background worker instead of leaving
-// the next reader to pay the solve.  Readers serve the last-good published
-// snapshot per source from a dedicated snapshot lock -- never blocking on
-// the worker's write-guarded solves -- and poll_schedule hands the new
-// build out at the consumer's next period boundary, so staleness overlaps
-// solver latency.  The queue is bounded (oldest job dropped beyond
-// capacity), jobs for the same source coalesce to the newest version, and
-// a failed re-plan retries with linear backoff -- exact rungs only until
-// the final attempt, which may degrade.  pause/resume/drain give batch
-// mutators (the churn engine) deterministic barriers: pause around an
-// event batch so the worker solves only the batch's final state, drain
-// before reading to make results reproducible.
+// the next reader to pay the solve.  Readers keep serving the last-good
+// published snapshot -- never blocking on the worker's solves -- and
+// poll_schedule hands the new build out at the consumer's next period
+// boundary, so staleness overlaps solver latency.  The queue is bounded
+// (oldest job dropped beyond capacity), jobs for the same source coalesce
+// to the newest version, and a failed re-plan retries with linear backoff
+// -- exact rungs only until the final attempt, which may degrade.
+// pause/resume/drain give batch mutators (the churn engine) deterministic
+// barriers: pause around an event batch so the worker solves only the
+// batch's final state, drain before reading to make results reproducible.
 //
-// Read methods are const-free on purpose: a cache miss escalates to the
-// writer side to run the solve, so "read" describes the request, not the
+// Read methods are const-free on purpose: a stale snapshot escalates to the
+// writer mutex to run the solve, so "read" describes the request, not the
 // implementation.
 
 #include <atomic>
@@ -71,10 +77,9 @@
 #include <vector>
 
 #include "platform/platform.hpp"
-#include "sched/schedule_cache.hpp"
 #include "ssb/planner_session.hpp"
 #include "util/fault_injection.hpp"
-#include "util/parallel_read_serial_write.hpp"
+#include "util/timer.hpp"
 
 namespace bt {
 
@@ -84,9 +89,6 @@ struct PlannerServiceOptions {
   PlannerSessionOptions session;
   /// Warm sessions kept alive at once (LRU-evicted beyond this).
   std::size_t max_sessions = 8;
-  /// Cached (source, version) plans and schedules.
-  std::size_t plan_cache_capacity = 32;
-  std::size_t schedule_cache_capacity = 16;
   /// Degradation policy of every solve the service runs (deadline budgets,
   /// permitted rungs); see planner_session.hpp.
   LadderOptions ladder;
@@ -109,10 +111,10 @@ struct PlannerServiceOptions {
 
 /// Service counters (monotonic since construction).
 struct PlannerServiceStats {
-  std::uint64_t queries = 0;           ///< plan/throughput/schedule requests
-  std::uint64_t plan_cache_hits = 0;
-  std::uint64_t schedule_cache_hits = 0;
-  std::uint64_t solves = 0;            ///< session solves run on a miss
+  std::uint64_t queries = 0;              ///< plan/throughput/schedule requests
+  std::uint64_t plan_cache_hits = 0;      ///< reads answered by a published plan
+  std::uint64_t schedule_cache_hits = 0;  ///< reads answered by a published schedule
+  std::uint64_t solves = 0;               ///< session solves run on a miss
   std::uint64_t schedules_built = 0;
   std::uint64_t mutations = 0;
   std::uint64_t sessions_created = 0;
@@ -165,9 +167,8 @@ class PlannerService {
 
   /// Non-blocking epoch hook: the newest *built* schedule for `sub.source`
   /// whose service version is newer than sub.seen_version, advancing the
-  /// cursor -- or nullptr when nothing newer has been built (or the build
-  /// was already LRU-evicted; call schedule() to force one).  Never solves
-  /// or synthesizes, so an executor can poll at every period boundary and
+  /// cursor -- or nullptr when nothing newer has been built (call
+  /// schedule() to force one).  Never solves or synthesizes, so an executor can poll at every period boundary and
   /// keep running its installed schedule while a re-plan is in flight.
   std::shared_ptr<const PeriodicSchedule> poll_schedule(ScheduleSubscription& sub);
 
@@ -216,67 +217,74 @@ class PlannerService {
   /// Snapshot of the current platform (copy: safe under concurrency).
   Platform platform_snapshot();
 
-  /// Mutation counter; cached plans/schedules are keyed by it.  Lock-free,
+  /// Mutation counter; published answers are stamped with it.  Lock-free,
   /// so staleness accounting never blocks on an in-flight re-plan.
   std::uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
   PlannerServiceStats stats();
 
  private:
-  struct PlanKey {
-    NodeId source = 0;
-    std::uint64_t version = 0;
-    bool operator==(const PlanKey& other) const {
-      return source == other.source && version == other.version;
-    }
-  };
-
-  /// One queued re-plan: solve `source` at (at least) `version`.
+  /// One queued re-plan of `source`.  The worker solves whatever state is
+  /// current when it picks the job up; `queued` runs from the first enqueue
+  /// (coalescing keeps it), so latencies include the queue wait.
   struct ReplanJob {
     NodeId source = 0;
-    std::uint64_t version = 0;
+    Timer queued;
   };
 
-  /// Last-good published answer per source (async mode).  Lives under
-  /// snapshot_mutex_, NOT the guard, so readers copy shared_ptrs in O(1)
-  /// while the worker holds the write guard through a solve.
-  struct Snapshot {
+  /// One half of a snapshot: the newest answer and the service version it
+  /// was built at.
+  template <typename T>
+  struct Published {
     std::uint64_t version = 0;
-    std::shared_ptr<const SsbSolution> plan;
-    std::shared_ptr<const PeriodicSchedule> schedule;
+    std::shared_ptr<const T> value;
   };
+
+  /// Newest published answer per source.  Lives under snapshot_mutex_, not
+  /// the writer mutex, so readers copy shared_ptrs in O(1) while a writer
+  /// holds writer_mutex_ through a solve.
+  struct Snapshot {
+    Published<SsbSolution> plan;
+    Published<PeriodicSchedule> schedule;
+  };
+
+  /// The `half` of `source`'s snapshot when it is fresh enough to answer a
+  /// read (counting the hit in `hits`), else nullptr.
+  template <typename T>
+  std::shared_ptr<const T> fresh(NodeId source, Published<T> Snapshot::*half,
+                                 std::uint64_t& hits);
+  /// Publish the non-null halves at the current version, in one critical
+  /// section: a re-plan's plan and schedule appear together.
+  void publish_locked(NodeId source, std::shared_ptr<const SsbSolution> plan,
+                      std::shared_ptr<const PeriodicSchedule> schedule);
 
   /// Warm session for `source`, creating (and LRU-evicting) as needed.
-  /// Caller must hold the write guard.
+  /// Caller must hold writer_mutex_.
   PlannerSession& session_locked(NodeId source);
   void evict_session_locked(NodeId source);
+  /// Solve / synthesize `source` at the current version.  Caller must hold
+  /// writer_mutex_.
   std::shared_ptr<const SsbSolution> plan_locked(NodeId source, const LadderOptions& ladder);
   std::shared_ptr<const PeriodicSchedule> schedule_locked(NodeId source,
                                                           const LadderOptions& ladder);
   void note_tier_locked(PlanTier tier);
-  void publish_locked(NodeId source, std::shared_ptr<const SsbSolution> plan,
-                      std::shared_ptr<const PeriodicSchedule> schedule);
   void enqueue_replans();
   void worker_loop();
-  void run_replan(ReplanJob job);
+  void run_replan(const ReplanJob& job);
 
-  // Lock order: guard_ before snapshot_mutex_ / queue_mutex_ (never the
-  // other way; the two leaf mutexes are never held together).
-  ParallelReadSerialWrite guard_;
+  // Lock order: writer_mutex_ before snapshot_mutex_ / queue_mutex_ (never
+  // the other way; the two leaf mutexes are never held together).
+  /// Serializes solves, synthesis and mutations; guards the platform, the
+  /// sessions and the solve counters below.
+  std::mutex writer_mutex_;
   Platform platform_;                 ///< base platform (source = as loaded)
   std::vector<char> removed_;         ///< arcs removed from service
   PlannerServiceOptions options_;
-  /// Written under the write guard; atomic so version() is lock-free.
+  /// Written under writer_mutex_; atomic so version() is lock-free.
   std::atomic<std::uint64_t> version_{0};
 
   /// Warm sessions, most recently used first.
   std::list<std::pair<NodeId, std::unique_ptr<PlannerSession>>> sessions_;
-
-  LruCache<PlanKey, std::shared_ptr<const SsbSolution>> plan_cache_;
-  ScheduleCache schedule_cache_;
-  /// Per-source service version of the newest schedule ever built, feeding
-  /// poll_schedule (only grows; written under the write guard).
-  std::map<NodeId, std::uint64_t> schedule_built_;
 
   // ---- async worker state ----
   std::mutex queue_mutex_;
@@ -291,10 +299,12 @@ class PlannerService {
 
   std::mutex snapshot_mutex_;
   std::map<NodeId, Snapshot> published_;
+  std::uint64_t plan_hits_ = 0;      ///< under snapshot_mutex_
+  std::uint64_t schedule_hits_ = 0;  ///< under snapshot_mutex_
 
-  // Counter discipline: queries_ is bumped on the read path (shared lock)
-  // and the replans_* counters on the worker thread, so they're atomic;
-  // everything else only changes under the write guard.
+  // Counter discipline: queries_ is bumped by every read and the replans_*
+  // counters on the worker thread, so they're atomic; the hit counters
+  // change under snapshot_mutex_ and everything else under writer_mutex_.
   std::atomic<std::uint64_t> queries_{0};
   std::uint64_t solves_ = 0;
   std::uint64_t schedules_built_ = 0;

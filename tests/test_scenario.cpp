@@ -270,6 +270,28 @@ TEST(PlannerServiceSubscription, PollNeverSolvesAndTracksBuilds) {
   EXPECT_NE(repolled.get(), built.get());
 }
 
+TEST(PlannerServiceSubscription, NewestBuildSurvivesOtherSourcesBuilds) {
+  // One snapshot per source: later builds for another source never push
+  // source 0's newest schedule out, so a fresh cursor still gets it back
+  // without a solve or a synthesis.
+  const Platform platform = test_platform(10, 17);
+  PlannerService service(platform);
+  auto built = service.schedule(0);
+  for (int i = 0; i < 16; ++i) {
+    service.scale_link_time(static_cast<EdgeId>(i % platform.num_edges()), 1.1);
+    service.schedule(1);
+  }
+  const PlannerServiceStats before = service.stats();
+  ScheduleSubscription sub;
+  sub.source = 0;
+  auto polled = service.poll_schedule(sub);
+  ASSERT_NE(polled, nullptr);
+  EXPECT_EQ(polled.get(), built.get());
+  EXPECT_EQ(sub.seen_version, 0u);
+  EXPECT_EQ(service.stats().solves, before.solves);
+  EXPECT_EQ(service.stats().schedules_built, before.schedules_built);
+}
+
 // ---- the engine ------------------------------------------------------------
 
 TEST(ChurnScenario, QuietTimelineDeliversTheOfflineOptimum) {

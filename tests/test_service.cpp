@@ -1,18 +1,22 @@
 // Tests for the broadcast-planning service (service/planner_service.hpp)
-// and its building blocks: the LRU cache, the read/write guard discipline,
-// session eviction, mutation invalidation, and concurrent readers against
-// a mutating writer.  The concurrency tests run under the ThreadSanitizer
-// CI lane (BT_SANITIZE=thread).
+// and its building blocks: snapshot publication, session eviction,
+// mutation invalidation, and concurrent readers against a mutating writer.
+// The concurrency tests run under the ThreadSanitizer CI lane
+// (BT_SANITIZE=thread).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "experiments/service_eval.hpp"
+#include "graph/reachability.hpp"
 #include "platform/random_generator.hpp"
 #include "sched/validate.hpp"
 #include "service/planner_service.hpp"
@@ -20,7 +24,6 @@
 #include "ssb/ssb_cutting_plane.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
-#include "util/lru_cache.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -37,34 +40,6 @@ Platform random_platform(std::size_t n, std::uint64_t seed) {
 
 double rel_diff(double a, double b) {
   return std::abs(a - b) / std::max({1.0, std::abs(a), std::abs(b)});
-}
-
-TEST(LruCache, EvictsLeastRecentlyUsed) {
-  LruCache<int, std::shared_ptr<int>> cache(2);
-  cache.put(1, std::make_shared<int>(10));
-  cache.put(2, std::make_shared<int>(20));
-  ASSERT_TRUE(cache.get(1).has_value());  // 1 becomes most recent
-  cache.put(3, std::make_shared<int>(30));
-  EXPECT_FALSE(cache.get(2).has_value());  // 2 was LRU -> evicted
-  EXPECT_TRUE(cache.get(1).has_value());
-  EXPECT_TRUE(cache.get(3).has_value());
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(LruCache, PutRefreshesExistingKey) {
-  LruCache<int, std::shared_ptr<int>> cache(2);
-  cache.put(1, std::make_shared<int>(10));
-  cache.put(2, std::make_shared<int>(20));
-  cache.put(1, std::make_shared<int>(11));  // refresh, no eviction
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(**cache.get(1), 11);
-  cache.put(3, std::make_shared<int>(30));
-  EXPECT_FALSE(cache.get(2).has_value());
-}
-
-TEST(LruCache, RejectsZeroCapacity) {
-  EXPECT_THROW((LruCache<int, int>(0)), Error);
 }
 
 TEST(PlannerService, PlanIsCachedByPointerIdentityUntilMutation) {
@@ -441,6 +416,167 @@ TEST(PlannerServiceAsync, PausedBatchesCoalesceIntoOneReplan) {
   EXPECT_LE(rel_diff(service.plan(0)->throughput,
                      solve_ssb_cutting_plane(mutated.with_source(0)).throughput),
             1e-9);
+}
+
+TEST(PlannerServiceAsync, ReplanLatencyIncludesQueueWait) {
+  // Latency runs from the mutation's enqueue to publish: a job held back
+  // by a paused worker must report the wait.
+  PlannerServiceOptions options;
+  options.async_replan = true;
+  PlannerService service(random_platform(10, 5), options);
+  service.plan(0);
+  service.pause_replans();
+  service.scale_link_time(0, 1.5);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  service.resume_replans();
+  service.drain_replans();
+  const std::vector<double> latencies = service.take_replan_latencies();
+  ASSERT_EQ(latencies.size(), 1u);
+  EXPECT_GE(latencies[0], 50.0);
+}
+
+// ---- seeded random-operation model check ------------------------------------
+
+// Drives a service through a seeded mix of link mutations, node joins and
+// reads, and after every step checks the contracts each answer must keep:
+// a ladder tier; an exact-tier TP within 1e-9 of a cold solve of the
+// current platform; a schedule that passes check_schedule and ships over
+// no removed arc; poll versions that only grow; and the same pointer on
+// repeat reads between mutations.  Async mode drains after each mutation,
+// so the answers it checks are current.
+void run_model_check(bool async, std::uint64_t seed) {
+  Rng rng(seed);
+  const Platform base = random_platform(static_cast<std::size_t>(rng.uniform_int(8, 12)), seed);
+  PlannerServiceOptions options;
+  options.async_replan = async;
+  options.max_sessions = static_cast<std::size_t>(rng.uniform_int(1, 2));
+  PlannerService service(base, options);
+
+  const std::vector<NodeId> sources = {0, 1, 2};
+  std::vector<char> removed(base.num_edges(), 0);
+  std::size_t joins = 0;
+  // Reads since the last mutation, per source.
+  std::map<NodeId, std::shared_ptr<const SsbSolution>> plans;
+  std::map<NodeId, std::shared_ptr<const PeriodicSchedule>> schedules;
+  std::map<NodeId, ScheduleSubscription> cursors;
+  for (NodeId s : sources) cursors[s].source = s;
+
+  // Every queried source still reaches every node once `gone` is removed.
+  const auto broadcasts = [&](const Platform& platform, const std::vector<char>& gone) {
+    EdgeMask active(gone.size());
+    for (EdgeId e = 0; e < gone.size(); ++e) active[e] = gone[e] ? 0 : 1;
+    return std::all_of(sources.begin(), sources.end(), [&](NodeId s) {
+      return all_reachable_from(platform.graph(), s, active);
+    });
+  };
+  const auto mutated = [&] {
+    plans.clear();
+    schedules.clear();
+    service.drain_replans();
+  };
+  const auto check_schedule_now = [&](const Platform& platform, const PeriodicSchedule& sched) {
+    EXPECT_TRUE(check_schedule(platform, sched).ok);
+    for (const ScheduledTree& tree : sched.trees) {
+      for (const EdgeId e : tree.edges) EXPECT_FALSE(removed[e]) << "arc " << e;
+    }
+  };
+
+  for (int step = 0; step < 300; ++step) {
+    SCOPED_TRACE(testing::Message() << (async ? "async" : "sync") << " step " << step);
+    const Platform platform = service.platform_snapshot();
+    const NodeId s = sources[rng.index(sources.size())];
+    const EdgeId e = static_cast<EdgeId>(rng.index(platform.num_edges()));
+    switch (rng.uniform_int(0, 9)) {
+      case 0:
+        service.scale_link_time(e, rng.uniform_real(0.5, 2.0));
+        removed[e] = 0;
+        mutated();
+        break;
+      case 1:
+        service.set_link_cost(e, e < base.num_edges() ? base.link_cost(e) : platform.link_cost(e));
+        removed[e] = 0;
+        mutated();
+        break;
+      case 2: {
+        std::vector<char> gone = removed;
+        gone[e] = 1;
+        if (!broadcasts(platform, gone)) break;
+        service.remove_link(e);
+        removed = std::move(gone);
+        mutated();
+        break;
+      }
+      case 3: {
+        if (joins == 3) break;
+        const auto peer = [&] {
+          return SessionLink{static_cast<NodeId>(rng.index(platform.num_nodes())),
+                             LinkCost{0.0, rng.uniform_real(1e-8, 9e-8)}};
+        };
+        service.add_node({peer(), peer()}, {peer()});
+        removed.resize(service.platform_snapshot().num_edges(), 0);
+        ++joins;
+        mutated();
+        break;
+      }
+      case 4:
+      case 5: {
+        const auto plan = service.plan(s);
+        ASSERT_NE(plan, nullptr);
+        EXPECT_TRUE(plan->tier == PlanTier::kExact || plan->tier == PlanTier::kRebuild ||
+                    plan->tier == PlanTier::kHeuristic);
+        const auto seen = plans.find(s);
+        if (seen != plans.end()) {
+          EXPECT_EQ(plan.get(), seen->second.get());
+          break;
+        }
+        plans[s] = plan;
+        if (plan->tier == PlanTier::kExact) {
+          PlannerSession reference(platform.with_source(s));
+          for (EdgeId r = 0; r < removed.size(); ++r) {
+            if (removed[r]) reference.remove_link(r);
+          }
+          EXPECT_LE(rel_diff(plan->throughput, reference.solve_cold().throughput), 1e-9);
+        }
+        break;
+      }
+      case 6:
+      case 7: {
+        const auto sched = service.schedule(s);
+        ASSERT_NE(sched, nullptr);
+        const auto seen = schedules.find(s);
+        if (seen != schedules.end()) {
+          EXPECT_EQ(sched.get(), seen->second.get());
+          break;
+        }
+        schedules[s] = sched;
+        check_schedule_now(platform, *sched);
+        break;
+      }
+      default: {
+        ScheduleSubscription& cursor = cursors[s];
+        const std::uint64_t before = cursor.seen_version;
+        const auto polled = service.poll_schedule(cursor);
+        if (polled == nullptr) {
+          EXPECT_EQ(cursor.seen_version, before);
+          break;
+        }
+        if (before != ScheduleSubscription::kNone) {
+          EXPECT_GT(cursor.seen_version, before);
+        }
+        EXPECT_LE(cursor.seen_version, service.version());
+        if (cursor.seen_version == service.version()) check_schedule_now(platform, *polled);
+        break;
+      }
+    }
+  }
+}
+
+TEST(PlannerServiceModel, SeededRandomOperationsKeepEveryContractSync) {
+  run_model_check(/*async=*/false, 2024);
+}
+
+TEST(PlannerServiceModel, SeededRandomOperationsKeepEveryContractAsync) {
+  run_model_check(/*async=*/true, 2025);
 }
 
 // ---- node leaves ------------------------------------------------------------
